@@ -17,9 +17,8 @@
 // method takes a context.Context (cancellation and deadlines are observed
 // mid-request), and one Client may be shared by many goroutines — their
 // requests pipeline over a single multiplexed connection per server (wire
-// protocol v2) with responses demultiplexed by request ID. Peers speaking
-// the original serial protocol interoperate transparently through the
-// version-negotiating handshake. Remote failures carry typed codes:
+// protocol v2) with responses demultiplexed by request ID. Remote
+// failures carry typed codes:
 // errors.Is distinguishes ErrTampered (verification failure at the
 // client), ErrUnknownTable and ErrStaleReplica.
 //
@@ -170,15 +169,6 @@ func NewEdgeWithOptions(centralAddr string, opts EdgeOptions) *Edge {
 // its protocol version negotiated) before Dial returns.
 func Dial(ctx context.Context, cfg Config) (*Client, error) {
 	return client.Dial(ctx, cfg)
-}
-
-// NewClient creates a client that queries edgeAddr and routes updates and
-// key fetches to centralAddr, connecting lazily.
-//
-// Deprecated: use Dial, which takes a context and reports an unreachable
-// edge immediately.
-func NewClient(edgeAddr, centralAddr string) *Client {
-	return client.New(edgeAddr, centralAddr)
 }
 
 // GenerateKey creates an RSA signing key pair of the given size.

@@ -108,8 +108,8 @@ func main() {
 	cl.InvalidateSchema("items")
 	count("after refresh")
 
-	// Range delete: X-locks the paths, removes tuples, recomputes digests
-	// up to the root.
+	// Range delete: removes the tuples and recomputes digests up to the
+	// root.
 	lo, hi := edgeauth.Int64(100), edgeauth.Int64(299)
 	n, err := cl.DeleteRange(ctx, "items", &lo, &hi)
 	if err != nil {

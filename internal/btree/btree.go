@@ -17,8 +17,8 @@ var ErrKeyNotFound = errors.New("btree: key not found")
 
 // Tree is a B+-tree over a buffer pool. Safe for concurrent readers; a
 // single writer must be externally serialized with respect to readers
-// (the central server's lock manager does this for the VB-tree; the plain
-// tree mirrors the contract and additionally carries an RWMutex).
+// (the VB-tree does this with its mutex; the plain tree mirrors the
+// contract and additionally carries an RWMutex).
 type Tree struct {
 	mu   sync.RWMutex
 	bp   *storage.BufferPool

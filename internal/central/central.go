@@ -36,7 +36,6 @@ import (
 	"time"
 
 	"edgeauth/internal/digest"
-	"edgeauth/internal/lock"
 	"edgeauth/internal/query"
 	"edgeauth/internal/rpc"
 	"edgeauth/internal/schema"
@@ -98,8 +97,9 @@ type Options struct {
 	// genuine concurrency and adds no idle latency.
 	MaxDelay time.Duration
 	// Shards is how many range partitions each table is built with.
-	// 0 or 1 selects a single shard (the unsharded layout, fully
-	// compatible with pre-sharding edge servers and clients).
+	// 0 or 1 selects a single shard. Every table, one shard or many,
+	// is replicated and queried through its signed shard map and the
+	// shard-scoped requests.
 	Shards int
 	// ShardSplit picks the boundary-selection strategy for the initial
 	// partition: shardmap.SplitByCount (default) balances build tuples
@@ -450,18 +450,12 @@ func (s *Server) buildShard(sch *schema.Schema, tuples []schema.Tuple, epoch, st
 		return nil, err
 	}
 	cfg := vbtree.Config{
-		Pool:   pool,
-		Heap:   heap,
-		Schema: sch,
-		Acc:    s.acc,
-		Signer: s.key,
-		Pub:    s.key.Public(),
-		// Each shard gets its own lock manager: shards have independent
-		// buffer pools whose page IDs overlap, so sharing one manager
-		// under the table-wide lock space would make parallel shard
-		// commits falsely contend (and falsely deadlock) on unrelated
-		// pages that happen to share an ID.
-		Locks:            lock.NewManager(0),
+		Pool:             pool,
+		Heap:             heap,
+		Schema:           sch,
+		Acc:              s.acc,
+		Signer:           s.key,
+		Pub:              s.key.Public(),
 		BuildParallelism: s.opts.BuildParallelism,
 	}
 	tree, err := vbtree.Build(cfg, tuples, 1.0)
@@ -776,21 +770,6 @@ func (s *Server) shard(name string, idx uint32) (*table, *shard, error) {
 	return t, part.shards[idx], nil
 }
 
-// soleShard returns the table's only shard, or a typed error telling the
-// caller to switch to the shard-scoped protocol.
-func (s *Server) soleShard(name string) (*table, *shard, error) {
-	t, err := s.table(name)
-	if err != nil {
-		return nil, nil, err
-	}
-	part := t.part.Load()
-	if len(part.shards) != 1 {
-		return nil, nil, wire.NotSharded("central", name,
-			fmt.Sprintf("table %q is range-partitioned into %d shards; use the shard-scoped requests", name, len(part.shards)))
-	}
-	return t, part.shards[0], nil
-}
-
 // Tables lists registered tables in sorted order.
 func (s *Server) Tables() []string {
 	s.mu.RLock()
@@ -980,17 +959,6 @@ func (s *Server) snapshotOf(t *table, sh *shard) (*wire.Snapshot, error) {
 	return snap, nil
 }
 
-// Snapshot captures a single-shard table's replica for a legacy
-// (unsharded) edge server. Partitioned tables answer with a typed
-// unsupported error steering the edge to ShardSnapshot.
-func (s *Server) Snapshot(tableName string) (*wire.Snapshot, error) {
-	t, sh, err := s.soleShard(tableName)
-	if err != nil {
-		return nil, err
-	}
-	return s.snapshotOf(t, sh)
-}
-
 // ShardSnapshot captures one shard's replica image.
 func (s *Server) ShardSnapshot(tableName string, idx uint32) (*wire.Snapshot, error) {
 	t, sh, err := s.shard(tableName, idx)
@@ -1001,9 +969,8 @@ func (s *Server) ShardSnapshot(tableName string, idx uint32) (*wire.Snapshot, er
 }
 
 // deltaOf builds the incremental update that takes a shard replica at
-// fromVersion to the shard's current version. ref is the value bound
-// into the signed Table field (the bare table name for single-shard
-// tables, the shard ref for partitioned ones).
+// fromVersion to the shard's current version. ref is the shard ref bound
+// into the signed Table field.
 func (s *Server) deltaOf(sh *shard, ref string, fromVersion, epoch uint64) (*wire.Delta, error) {
 	// Pin the version the delta will take the replica to; page content is
 	// read from this immutable snapshot, so updates committing while the
@@ -1074,25 +1041,17 @@ func (s *Server) deltaOf(sh *shard, ref string, fromVersion, epoch uint64) (*wir
 	return s.signDelta(d)
 }
 
-// Delta serves a legacy (unsharded) edge's incremental refresh for a
-// single-shard table.
-func (s *Server) Delta(tableName string, fromVersion, epoch uint64) (*wire.Delta, error) {
-	_, sh, err := s.soleShard(tableName)
-	if err != nil {
-		return nil, err
-	}
-	return s.deltaOf(sh, tableName, fromVersion, epoch)
-}
-
-// ShardDelta serves one shard's incremental refresh. The shard index is
-// bound into the signed payload via the shard ref, so a delta for one
-// shard cannot be replayed against another.
+// ShardDelta serves the incremental refresh of the shard now at
+// position idx. The shard's stable ID is bound into the signed payload
+// via the shard ref, so a delta for one shard cannot be applied to
+// another, even by an edge that addressed the position under an older
+// partition.
 func (s *Server) ShardDelta(tableName string, idx uint32, fromVersion, epoch uint64) (*wire.Delta, error) {
 	_, sh, err := s.shard(tableName, idx)
 	if err != nil {
 		return nil, err
 	}
-	return s.deltaOf(sh, wire.ShardRef(tableName, idx), fromVersion, epoch)
+	return s.deltaOf(sh, wire.ShardRef(tableName, sh.id), fromVersion, epoch)
 }
 
 // signDelta stamps the central server's signature on a delta so edges can
@@ -1360,15 +1319,6 @@ func (s *Server) dispatch(ctx context.Context, mt wire.MsgType, body []byte) (wi
 	case wire.MsgListTablesReq:
 		return wire.MsgListTablesResp, wire.EncodeStringList(s.Tables()), nil
 
-	case wire.MsgSnapshotReq:
-		snap, err := s.Snapshot(string(body))
-		if err != nil {
-			return 0, nil, err
-		}
-		enc := snap.Encode()
-		s.stats.snapshotBytes.Add(uint64(len(enc)))
-		return wire.MsgSnapshotResp, enc, nil
-
 	case wire.MsgShardSnapshotReq:
 		req, err := wire.DecodeShardSnapshotRequest(body)
 		if err != nil {
@@ -1381,19 +1331,6 @@ func (s *Server) dispatch(ctx context.Context, mt wire.MsgType, body []byte) (wi
 		enc := snap.Encode()
 		s.stats.snapshotBytes.Add(uint64(len(enc)))
 		return wire.MsgSnapshotResp, enc, nil
-
-	case wire.MsgDeltaReq:
-		req, err := wire.DecodeDeltaRequest(body)
-		if err != nil {
-			return 0, nil, err
-		}
-		d, err := s.Delta(req.Table, req.FromVersion, req.Epoch)
-		if err != nil {
-			return 0, nil, err
-		}
-		enc := d.Encode()
-		s.stats.deltaBytes.Add(uint64(len(enc)))
-		return wire.MsgDeltaResp, enc, nil
 
 	case wire.MsgShardDeltaReq:
 		req, err := wire.DecodeShardDeltaRequest(body)

@@ -7,7 +7,6 @@ import (
 	"sync"
 	"time"
 
-	"edgeauth/internal/lock"
 	"edgeauth/internal/schema"
 	"edgeauth/internal/shardmap"
 	"edgeauth/internal/storage"
@@ -530,15 +529,12 @@ func (s *Server) carveShardStream(t *table, src vbtree.TupleSource, id uint64) (
 		return err
 	}
 	cfg := vbtree.Config{
-		Pool:   pool,
-		Heap:   heap,
-		Schema: t.sch,
-		Acc:    s.acc,
-		Signer: s.key,
-		Pub:    s.key.Public(),
-		// Independent lock manager per shard, as in buildShard: buffer
-		// pools' page IDs overlap across shards.
-		Locks:            lock.NewManager(0),
+		Pool:             pool,
+		Heap:             heap,
+		Schema:           t.sch,
+		Acc:              s.acc,
+		Signer:           s.key,
+		Pub:              s.key.Public(),
 		BuildParallelism: s.opts.BuildParallelism,
 	}
 	tree, err := vbtree.BuildFromSource(cfg, 1.0, reshardBuildChunk, src, onChunk)

@@ -2,7 +2,6 @@ package central
 
 import (
 	"context"
-	"errors"
 	"sync"
 	"testing"
 	"time"
@@ -155,46 +154,9 @@ func TestShardedDeleteRange(t *testing.T) {
 	}
 }
 
-// TestLegacyFramesRejectShardedTables: the unsharded snapshot/delta
-// paths answer partitioned tables with a typed unsupported error, which
-// is what steers sharding-aware peers to the shard-scoped frames.
-func TestLegacyFramesRejectShardedTables(t *testing.T) {
-	srv := newBatchServer(t, 100, Options{PageSize: 1024, Shards: 2})
-	if _, err := srv.Snapshot("items"); !errors.Is(err, wire.ErrUnsupported) {
-		t.Fatalf("legacy Snapshot on sharded table: %v, want ErrUnsupported", err)
-	}
-	epoch, _ := srv.TableEpoch("items")
-	if _, err := srv.Delta("items", 0, epoch); !errors.Is(err, wire.ErrUnsupported) {
-		t.Fatalf("legacy Delta on sharded table: %v, want ErrUnsupported", err)
-	}
-	// Shard-scoped requests work, and out-of-range indices are typed
-	// errors.
-	if _, err := srv.ShardSnapshot("items", 1); err != nil {
-		t.Fatalf("ShardSnapshot: %v", err)
-	}
-	if _, err := srv.ShardSnapshot("items", 7); err == nil {
-		t.Fatal("out-of-range shard snapshot accepted")
-	}
-	if _, err := srv.ShardDelta("items", 0, 0, epoch); err != nil {
-		t.Fatalf("ShardDelta: %v", err)
-	}
-	// Single-shard tables keep serving the legacy frames.
-	single := newBatchServerNamed(t, 50, Options{PageSize: 1024})
-	if _, err := single.Snapshot("items"); err != nil {
-		t.Fatalf("legacy Snapshot on single-shard table: %v", err)
-	}
-}
-
-// newBatchServerNamed exists so two servers in one test don't collide on
-// the shared test key.
-func newBatchServerNamed(t *testing.T, rows int, opts Options) *Server {
-	t.Helper()
-	return newBatchServer(t, rows, opts)
-}
-
 // TestShardDeltaBindsShardIndex: a delta generated for shard 0 must not
-// verify as a delta for shard 1 — the shard ref rides inside the signed
-// Table field.
+// verify as a delta for shard 1 — the shard ref, which names the shard's
+// stable ID, rides inside the signed Table field.
 func TestShardDeltaBindsShardIndex(t *testing.T) {
 	srv := newBatchServer(t, 200, Options{PageSize: 1024, Shards: 2})
 	epoch, _ := srv.TableEpoch("items")
@@ -209,13 +171,21 @@ func TestShardDeltaBindsShardIndex(t *testing.T) {
 	if d.SnapshotNeeded {
 		t.Fatal("expected a real delta")
 	}
-	if d.Table != wire.ShardRef("items", 0) {
+	sm, err := srv.SignedShardMap("items")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.Table != wire.ShardRef("items", sm.Map.Shards[0].ID) {
 		t.Fatalf("delta table ref = %q", d.Table)
 	}
 	// Re-labelling the delta for another shard breaks the signature.
-	d.Table = wire.ShardRef("items", 1)
+	d.Table = wire.ShardRef("items", sm.Map.Shards[1].ID)
 	if err := srv.PublicKey().Verify(d.Sig, d.SigPayload()); err == nil {
 		t.Fatal("re-labelled shard delta still verifies")
+	}
+	// Shard indices past the partition are refused.
+	if _, err := srv.ShardSnapshot("items", 7); err == nil {
+		t.Fatal("out-of-range shard snapshot accepted")
 	}
 }
 

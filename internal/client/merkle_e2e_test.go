@@ -74,7 +74,7 @@ func merkleSchemes() []sig.Scheme {
 
 // TestMerkleSchemesEndToEnd drives the full Figure-2 loop — build, pull,
 // query, verify, update, refresh, re-verify — under each Merkle
-// commitment scheme, on both the single-tree and sharded paths.
+// commitment scheme, with one shard and with three.
 func TestMerkleSchemesEndToEnd(t *testing.T) {
 	ctx := context.Background()
 	for _, scheme := range merkleSchemes() {

@@ -193,3 +193,23 @@ func TestCrossEpochSpliceFailsClosed(t *testing.T) {
 		t.Fatalf("cross-epoch splice returned %v, want ErrTampered", err)
 	}
 }
+
+// TestMapRatchetFloorIsPerRequest: a map regressing below the mark the
+// client held when it sent the request is a replay, but a concurrent
+// query raising the mark while a request is in flight does not turn the
+// edge's honest answer under its previous map into one.
+func TestMapRatchetFloorIsPerRequest(t *testing.T) {
+	c := newClient(Config{})
+	defer c.Close()
+	gen := func(g uint64) *shardmap.Map { return &shardmap.Map{Epoch: 7, MapEpoch: g} }
+	inFlight := c.mapFloor("items")
+	if err := c.noteMapEpoch("items", c.mapFloor("items"), gen(2)); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.noteMapEpoch("items", inFlight, gen(1)); err != nil {
+		t.Fatalf("answer sent before generation 2 was seen: %v", err)
+	}
+	if err := c.noteMapEpoch("items", c.mapFloor("items"), gen(1)); !errors.Is(err, verify.ErrMapReplay) {
+		t.Fatalf("replayed generation 1: %v, want ErrMapReplay", err)
+	}
+}

@@ -38,31 +38,21 @@ import (
 // tampering only if it persists.
 var errShardDrift = errors.New("client: shard answers drifted from the routing map")
 
-// shardMap returns the table's verified routing map, nil when the edge
-// does not partition the table (pre-sharding edge or no map support).
-// force refetches even on a cache hit.
+// shardMap returns the table's verified routing map. force refetches
+// even on a cache hit.
 func (c *Client) shardMap(ctx context.Context, v *verify.Verifier, table string, force bool) (*shardmap.Signed, error) {
-	c.smu.Lock()
 	if !force {
-		if c.noShardMaps[table] {
-			c.smu.Unlock()
-			return nil, nil
-		}
-		if sm, ok := c.smaps[table]; ok {
-			c.smu.Unlock()
+		c.smu.Lock()
+		sm, ok := c.smaps[table]
+		c.smu.Unlock()
+		if ok {
 			return sm, nil
 		}
 	}
-	c.smu.Unlock()
 
+	floor := c.mapFloor(table)
 	body, err := c.edge.Call(ctx, wire.MsgShardMapReq, []byte(table), wire.MsgShardMapResp, true)
 	if err != nil {
-		if isUnsupported(err) {
-			c.smu.Lock()
-			c.noShardMaps[table] = true
-			c.smu.Unlock()
-			return nil, nil
-		}
 		return nil, err
 	}
 	sm, err := shardmap.DecodeSigned(body)
@@ -72,31 +62,40 @@ func (c *Client) shardMap(ctx context.Context, v *verify.Verifier, table string,
 	if err := c.verifyMap(ctx, v, sm, table); err != nil {
 		return nil, err
 	}
-	if err := c.noteMapEpoch(table, sm.Map); err != nil {
+	if err := c.noteMapEpoch(table, floor, sm.Map); err != nil {
 		return nil, err
 	}
 	c.smu.Lock()
 	c.smaps[table] = sm
-	delete(c.noShardMaps, table)
 	c.smu.Unlock()
 	return sm, nil
 }
 
-// noteMapEpoch ratchets the table's partition-epoch high-water mark
-// forward and fails closed when a verified map regresses below it: a
+// mapFloor reads the table's partition-epoch high-water mark. A request
+// reads it before it is sent, and the map that comes back must not
+// regress below it (noteMapEpoch).
+func (c *Client) mapFloor(table string) mapGen {
+	c.smu.Lock()
+	defer c.smu.Unlock()
+	return c.mapGens[table]
+}
+
+// noteMapEpoch fails closed when a verified map regresses below floor,
+// the high-water mark read before the request carrying m was sent: a
 // signed pre-split map replayed by the edge would otherwise route
-// queries over dead boundaries and hide the shards a split created.
-// Must be called only with maps that already passed verifyMap.
-func (c *Client) noteMapEpoch(table string, m *shardmap.Map) error {
-	if m.MapEpoch == 0 {
-		return nil // legacy map: predates epoch chaining
+// queries over dead boundaries and hide the shards a split created. It
+// then ratchets the mark forward. The floor, not the current mark, is
+// the bound: a concurrent query may raise the mark while this request
+// is in flight, and the edge may have answered this one under its
+// previous map. Must be called only with maps that already passed
+// verifyMap.
+func (c *Client) noteMapEpoch(table string, floor mapGen, m *shardmap.Map) error {
+	if err := verify.CheckMapSuccession(floor.epoch, floor.mapEpoch, m); err != nil {
+		return fmt.Errorf("%w: %w", ErrTampered, err)
 	}
 	c.smu.Lock()
 	defer c.smu.Unlock()
 	g := c.mapGens[table]
-	if err := verify.CheckMapSuccession(g.epoch, g.mapEpoch, m); err != nil {
-		return fmt.Errorf("%w: %w", ErrTampered, err)
-	}
 	if g.epoch != m.Epoch || m.MapEpoch > g.mapEpoch {
 		c.mapGens[table] = mapGen{epoch: m.Epoch, mapEpoch: m.MapEpoch}
 	}
@@ -125,7 +124,6 @@ func (c *Client) InvalidateShardMap(table string) {
 	c.smu.Lock()
 	defer c.smu.Unlock()
 	delete(c.smaps, table)
-	delete(c.noShardMaps, table)
 }
 
 // shardAnswer is one shard's raw response, gathered before verification.
@@ -149,6 +147,7 @@ func (c *Client) queryShards(ctx context.Context, v *verify.Verifier, routing *s
 	}
 	first, last := routing.Map.ShardsForRange(q.Lo, q.Hi)
 	n := last - first + 1
+	floor := c.mapFloor(table)
 
 	answers := make([]shardAnswer, n)
 	var wg sync.WaitGroup
@@ -213,7 +212,7 @@ func (c *Client) queryShards(ctx context.Context, v *verify.Verifier, routing *s
 	// The replay ratchet applies to the attached map too: a signed
 	// pre-split map served alongside the answers fails closed here, it
 	// never reaches the drift retry below.
-	if err := c.noteMapEpoch(table, bound.Map); err != nil {
+	if err := c.noteMapEpoch(table, floor, bound.Map); err != nil {
 		return nil, err
 	}
 	// The attached map must describe the same partition the routing map

@@ -356,9 +356,9 @@ func TestStatsCounters(t *testing.T) {
 	}
 }
 
-// TestShardedLegacyInterop: a sharding-aware client against an
-// unsharded central/edge pair falls back to the single-tree protocol,
-// and a single-shard "partitioned" table serves both protocols.
+// TestShardedLegacyInterop: a table built with Options.Shards 1, and
+// one built with the zero value, are both served through the shard map
+// as a single shard.
 func TestShardedLegacyInterop(t *testing.T) {
 	ctx := context.Background()
 	// Single-shard sharded deployment: shard path with one shard.
@@ -377,7 +377,7 @@ func TestShardedLegacyInterop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res2.Result.Tuples) != 50 {
-		t.Fatalf("unsharded query: rows=%d", len(res2.Result.Tuples))
+	if res2.ShardsQueried != 1 || len(res2.Result.Tuples) != 50 {
+		t.Fatalf("default-options query: shards=%d rows=%d", res2.ShardsQueried, len(res2.Result.Tuples))
 	}
 }

@@ -2,6 +2,7 @@ package edge
 
 import (
 	"context"
+	"errors"
 	"net"
 	"sync"
 	"testing"
@@ -65,7 +66,7 @@ func TestPullAndQueryLocally(t *testing.T) {
 		t.Fatalf("Tables = %v", got)
 	}
 	lo, hi := schema.Int64(10), schema.Int64(29)
-	rs, w, err := eg.RunQuery(context.Background(), "items", vbtree.Query{Lo: &lo, Hi: &hi})
+	rs, w, _, err := eg.RunShardQuery(context.Background(), "items", 0, vbtree.Query{Lo: &lo, Hi: &hi})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,17 +89,17 @@ func TestPullAndQueryLocally(t *testing.T) {
 }
 
 func TestInstallSnapshotValidation(t *testing.T) {
-	if _, err := InstallSnapshot(&wire.Snapshot{PageSize: 8}); err == nil {
+	if _, err := installStore(&wire.Snapshot{PageSize: 8}); err == nil {
 		t.Fatal("tiny page size accepted")
 	}
 	srv, _ := startCentral(t, 30)
-	snap, err := srv.Snapshot("items")
+	snap, err := srv.ShardSnapshot("items", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Corrupt page length.
 	snap.PageData[0] = snap.PageData[0][:10]
-	if _, err := InstallSnapshot(snap); err == nil {
+	if _, err := installStore(snap); err == nil {
 		t.Fatal("short page accepted")
 	}
 }
@@ -116,7 +117,7 @@ func TestReplicaIsolationFromCentral(t *testing.T) {
 	if _, err := srv.DeleteRange("items", &lo, &hi); err != nil {
 		t.Fatal(err)
 	}
-	rs, _, err := eg.RunQuery(context.Background(), "items", vbtree.Query{Lo: &lo, Hi: &hi})
+	rs, _, _, err := eg.RunShardQuery(context.Background(), "items", 0, vbtree.Query{Lo: &lo, Hi: &hi})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +127,7 @@ func TestReplicaIsolationFromCentral(t *testing.T) {
 	if err := eg.Pull(context.Background(), "items"); err != nil {
 		t.Fatal(err)
 	}
-	rs, _, err = eg.RunQuery(context.Background(), "items", vbtree.Query{Lo: &lo, Hi: &hi})
+	rs, _, _, err = eg.RunShardQuery(context.Background(), "items", 0, vbtree.Query{Lo: &lo, Hi: &hi})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +142,7 @@ func TestUnknownTableErrors(t *testing.T) {
 	if err := eg.Pull(context.Background(), "ghost"); err == nil {
 		t.Fatal("pull of unknown table succeeded")
 	}
-	if _, _, err := eg.RunQuery(context.Background(), "ghost", vbtree.Query{}); err == nil {
+	if _, _, _, err := eg.RunShardQuery(context.Background(), "ghost", 0, vbtree.Query{}); err == nil {
 		t.Fatal("query of unreplicated table succeeded")
 	}
 	if _, err := eg.Schema("ghost"); err == nil {
@@ -171,14 +172,14 @@ func TestTamperHookAppliesAndClears(t *testing.T) {
 		return nil
 	})
 	lo, hi := schema.Int64(1), schema.Int64(5)
-	if _, _, err := eg.RunQuery(context.Background(), "items", vbtree.Query{Lo: &lo, Hi: &hi}); err != nil {
+	if _, _, _, err := eg.RunShardQuery(context.Background(), "items", 0, vbtree.Query{Lo: &lo, Hi: &hi}); err != nil {
 		t.Fatal(err)
 	}
 	if calls != 1 {
 		t.Fatalf("tamper hook called %d times", calls)
 	}
 	eg.SetTamper(nil)
-	if _, _, err := eg.RunQuery(context.Background(), "items", vbtree.Query{Lo: &lo, Hi: &hi}); err != nil {
+	if _, _, _, err := eg.RunShardQuery(context.Background(), "items", 0, vbtree.Query{Lo: &lo, Hi: &hi}); err != nil {
 		t.Fatal(err)
 	}
 	if calls != 1 {
@@ -205,32 +206,44 @@ func TestServeProtocolDispatch(t *testing.T) {
 	}
 	defer conn.Close()
 
-	// List tables.
-	if err := wire.WriteFrame(conn, wire.MsgListTablesReq, nil); err != nil {
+	// The session opens with a Hello in the handshake frame.
+	if err := wire.WriteFrame(conn, wire.MsgHello, wire.EncodeHelloCaps(wire.ProtocolV2, 0)); err != nil {
 		t.Fatal(err)
 	}
-	mt, body, err := wire.ReadFrame(conn)
-	if err != nil || mt != wire.MsgListTablesResp {
-		t.Fatalf("list: %v %v", mt, err)
+	if mt, _, err := wire.ReadFrame(conn); err != nil || mt != wire.MsgHelloResp {
+		t.Fatalf("hello: %v %v", mt, err)
+	}
+
+	// List tables.
+	if err := wire.WriteFrameV2(conn, wire.MsgListTablesReq, 1, nil); err != nil {
+		t.Fatal(err)
+	}
+	mt, id, body, err := wire.ReadFrameV2(conn)
+	if err != nil || mt != wire.MsgListTablesResp || id != 1 {
+		t.Fatalf("list: %v #%d %v", mt, id, err)
 	}
 	names, err := wire.DecodeStringList(body)
 	if err != nil || len(names) != 1 {
 		t.Fatalf("names = %v, %v", names, err)
 	}
 
-	// Unsupported message type gets an error frame, and the connection
-	// stays usable.
-	if err := wire.WriteFrame(conn, wire.MsgSnapshotReq, []byte("items")); err != nil {
+	// An unsupported message type (here the retired single-tree snapshot
+	// request, number 4) gets a typed error frame, and the session stays
+	// usable.
+	if err := wire.WriteFrameV2(conn, wire.MsgType(4), 2, []byte("items")); err != nil {
 		t.Fatal(err)
 	}
-	mt, _, err = wire.ReadFrame(conn)
-	if err != nil || mt != wire.MsgError {
-		t.Fatalf("unsupported message: %v %v", mt, err)
+	mt, id, body, err = wire.ReadFrameV2(conn)
+	if err != nil || mt != wire.MsgError || id != 2 {
+		t.Fatalf("unsupported type: %v #%d %v", mt, id, err)
 	}
-	if err := wire.WriteFrame(conn, wire.MsgListTablesReq, nil); err != nil {
+	if we := wire.DecodeWireError(body); !errors.Is(we, wire.ErrUnsupported) {
+		t.Fatalf("unsupported type answered with %+v, want a typed unsupported error", we)
+	}
+	if err := wire.WriteFrameV2(conn, wire.MsgListTablesReq, 3, nil); err != nil {
 		t.Fatal(err)
 	}
-	if mt, _, err = wire.ReadFrame(conn); err != nil || mt != wire.MsgListTablesResp {
-		t.Fatalf("connection unusable after error frame: %v %v", mt, err)
+	if mt, id, _, err = wire.ReadFrameV2(conn); err != nil || mt != wire.MsgListTablesResp || id != 3 {
+		t.Fatalf("session unusable after error frame: %v #%d %v", mt, id, err)
 	}
 }

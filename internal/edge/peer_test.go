@@ -166,8 +166,8 @@ func TestPeerDeltaGapSnapshotCatchup(t *testing.T) {
 	}
 	// Evict the relayable history: the peer stays current but can no
 	// longer answer tier-2's from-version with a delta.
-	for i := 0; i < 2; i++ {
-		t1.relay.Drop(wire.ShardRef("items", uint32(i)))
+	for _, id := range shardIDs(t1.replica("items").set.Load().smap) {
+		t1.relay.Drop(wire.ShardRef("items", id))
 	}
 	preServed := t1.Stats().PeerPayloadsServed
 	st, err := t2.Refresh(ctx, "items")
@@ -211,12 +211,6 @@ func TestServePeerTypedErrors(t *testing.T) {
 	_, _, err = t1.servePeer(ctx, wire.MsgShardDeltaReq, req.Encode())
 	if !errors.Is(err, wire.ErrUnknownTable) {
 		t.Fatalf("unknown table: %v", err)
-	}
-	// A v1 single-tree request against a partitioned replica is refused
-	// with the protocol-switch error (CodeUnsupported, like the central).
-	_, _, err = t1.servePeer(ctx, wire.MsgSnapshotReq, []byte("items"))
-	if !errors.Is(err, wire.ErrUnsupported) {
-		t.Fatalf("legacy snapshot of sharded table: %v, want wire.ErrUnsupported", err)
 	}
 
 	// A non-serving edge answers replication requests exactly like a

@@ -117,3 +117,47 @@ func TestRefreshFollowsSplitWithoutRepull(t *testing.T) {
 		t.Fatalf("post-reshard refresh: mode=%q shards=%d, want delta/1", st.Mode, st.ShardsRefreshed)
 	}
 }
+
+// TestShiftedSiblingDeltaRejected: the two children of a split are born
+// at one version, and a merge to their left shifts the surviving child
+// into its retired sibling's position. An edge still routing on the
+// older map then asks that position for a delta from the sibling's
+// version — and the central answers with the survivor's history. The
+// shard ref signed into every delta names the shard's stable ID, so the
+// edge refuses the delta instead of splicing another shard's pages into
+// its store.
+func TestShiftedSiblingDeltaRejected(t *testing.T) {
+	ctx := context.Background()
+	srv, centralAddr := startCentralOpts(t, 400, central.Options{PageSize: 1024, Shards: 2})
+	eg := New(centralAddr)
+	t.Cleanup(func() { eg.Close() })
+	if _, err := srv.SplitShard(ctx, "items", 1, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := eg.PullAll(ctx); err != nil {
+		t.Fatal(err)
+	}
+	old := eg.replica("items").set.Load()
+	if len(old.shards) != 3 || old.smap.Map.Shards[1].Version != old.smap.Map.Shards[2].Version {
+		t.Fatalf("split children: %+v, want three shards with siblings at one version", old.smap.Map.Shards)
+	}
+	sibling := old.shards[1].store
+	head := old.shards[1].state
+
+	// The right child commits (its changelog now covers the shared birth
+	// version), then the merge of positions 0 and 1 retires the left
+	// child and shifts the right one into position 1.
+	if err := srv.Insert("items", freshRow(t, 1_000_000)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := srv.MergeShards(ctx, "items", 0); err != nil {
+		t.Fatal(err)
+	}
+
+	if _, _, _, err := eg.refreshShard(ctx, "items", sibling, 1, head, old.smap); err == nil {
+		t.Fatal("the shifted sibling's delta was applied to the retired shard's store")
+	}
+	if st, err := storeState(sibling); err != nil || st.Version != head.Version || st.Root != head.Root {
+		t.Fatalf("store moved from v%d to %+v (%v)", head.Version, st, err)
+	}
+}

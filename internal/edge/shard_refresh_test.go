@@ -88,7 +88,7 @@ func TestShardedRefreshRecoversFromPartialFailure(t *testing.T) {
 	if d.SnapshotNeeded {
 		t.Fatal("expected a shard delta")
 	}
-	if err := applyDelta(cur.shards[1].store, d, wire.ShardRef("items", 1)); err != nil {
+	if err := applyDelta(cur.shards[1].store, d, wire.ShardRef("items", cur.smap.Map.Shards[1].ID)); err != nil {
 		t.Fatal(err)
 	}
 	// Sanity: the store is now ahead of the published set.

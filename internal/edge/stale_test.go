@@ -13,21 +13,33 @@ import (
 	"edgeauth/internal/query"
 	"edgeauth/internal/rpc"
 	"edgeauth/internal/schema"
+	"edgeauth/internal/shardmap"
 	"edgeauth/internal/sig"
 	"edgeauth/internal/vbtree"
 	"edgeauth/internal/wire"
 )
 
-// fakeCentral impersonates a restarted central server: it signs with the
-// real key but advertises a different table epoch, and can be told to
-// fail snapshot requests (modelling the fallback pull dying mid-recovery).
+// fakeCentral impersonates a restarted central server: it relays the
+// real central's shard map and shard snapshots, re-signed with the real
+// key under the table epoch in epoch (0 passes the real epoch through),
+// and can be told to fail snapshot requests (modelling the fallback pull
+// dying mid-recovery).
 type fakeCentral struct {
 	key          *sig.PrivateKey
 	real         *central.Server
-	epoch        uint64
+	epoch        atomic.Uint64
 	failSnapshot atomic.Bool
 	snapshotReqs atomic.Int64
 	listServed   atomic.Bool
+}
+
+// epochFor returns the table epoch the fake advertises for a table whose
+// real epoch is real.
+func (f *fakeCentral) epochFor(real uint64) uint64 {
+	if e := f.epoch.Load(); e != 0 {
+		return e
+	}
+	return real
 }
 
 func (f *fakeCentral) serve(t *testing.T) string {
@@ -63,18 +75,37 @@ func (f *fakeCentral) dispatch(ctx context.Context, mt wire.MsgType, body []byte
 	case wire.MsgListTablesReq:
 		f.listServed.Store(true)
 		return wire.MsgListTablesResp, wire.EncodeStringList([]string{"items"}), nil
-	case wire.MsgDeltaReq:
-		req, err := wire.DecodeDeltaRequest(body)
+	case wire.MsgShardMapReq:
+		sm, err := f.real.SignedShardMap(string(body))
 		if err != nil {
 			return 0, nil, err
+		}
+		m := sm.Map.Clone()
+		m.Epoch = f.epochFor(m.Epoch)
+		resigned, err := shardmap.Sign(m, f.key)
+		if err != nil {
+			return 0, nil, err
+		}
+		return wire.MsgShardMapResp, resigned.Encode(), nil
+	case wire.MsgShardDeltaReq:
+		req, err := wire.DecodeShardDeltaRequest(body)
+		if err != nil {
+			return 0, nil, err
+		}
+		sm, err := f.real.SignedShardMap(req.Table)
+		if err != nil {
+			return 0, nil, err
+		}
+		if int(req.Shard) >= len(sm.Map.Shards) {
+			return 0, nil, wire.ShardMoved(req.Table, "fake central: no such shard")
 		}
 		// A different incarnation: versions are not comparable, so the
 		// answer is a properly signed snapshot-needed delta.
 		d := &wire.Delta{
-			Table:          req.Table,
+			Table:          wire.ShardRef(req.Table, sm.Map.Shards[req.Shard].ID),
 			FromVersion:    req.FromVersion,
 			ToVersion:      3,
-			Epoch:          f.epoch,
+			Epoch:          f.epoch.Load(),
 			SnapshotNeeded: true,
 		}
 		sg, err := f.key.Sign(d.SigPayload())
@@ -83,15 +114,20 @@ func (f *fakeCentral) dispatch(ctx context.Context, mt wire.MsgType, body []byte
 		}
 		d.Sig = sg
 		return wire.MsgDeltaResp, d.Encode(), nil
-	case wire.MsgSnapshotReq:
+	case wire.MsgShardSnapshotReq:
 		f.snapshotReqs.Add(1)
 		if f.failSnapshot.Load() {
 			return 0, nil, errors.New("fake central: snapshot store unavailable")
 		}
-		snap, err := f.real.Snapshot(string(body))
+		req, err := wire.DecodeShardSnapshotRequest(body)
 		if err != nil {
 			return 0, nil, err
 		}
+		snap, err := f.real.ShardSnapshot(req.Table, req.Shard)
+		if err != nil {
+			return 0, nil, err
+		}
+		snap.Epoch = f.epochFor(snap.Epoch)
 		return wire.MsgSnapshotResp, snap.Encode(), nil
 	default:
 		return 0, nil, wire.Unsupported("fake-central", mt)
@@ -107,26 +143,21 @@ func TestQueriesReportStaleReplicaAfterEpochDivergence(t *testing.T) {
 	ctx := context.Background()
 	srv, _ := startCentral(t, 120)
 
-	fake := &fakeCentral{key: serverKey(t), real: srv, epoch: 0xDEAD_BEEF}
-	fake.failSnapshot.Store(true)
+	fake := &fakeCentral{key: serverKey(t), real: srv}
 	eg := New(fake.serve(t))
 	t.Cleanup(func() { eg.Close() })
 
-	// Seed the replica from the genuine central (epoch != fake.epoch).
-	snap, err := srv.Snapshot("items")
-	if err != nil {
+	// Seed the replica under the genuine epoch, then switch the fake to a
+	// foreign one whose snapshots are unavailable.
+	if err := eg.PullAll(ctx); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := InstallSnapshot(snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eg.setReplica("items", rep)
-
 	lo, hi := schema.Int64(10), schema.Int64(20)
-	if _, _, err := eg.RunQuery(ctx, "items", vbtree.Query{Lo: &lo, Hi: &hi}); err != nil {
+	if _, _, _, err := eg.RunShardQuery(ctx, "items", 0, vbtree.Query{Lo: &lo, Hi: &hi}); err != nil {
 		t.Fatalf("pre-divergence query: %v", err)
 	}
+	fake.epoch.Store(0xDEAD_BEEF)
+	fake.failSnapshot.Store(true)
 
 	// Refresh discovers the epoch divergence; the snapshot fallback dies.
 	if _, err := eg.Refresh(ctx, "items"); err == nil {
@@ -138,7 +169,7 @@ func TestQueriesReportStaleReplicaAfterEpochDivergence(t *testing.T) {
 
 	// Queries now signal staleness instead of answering from the dead
 	// incarnation — locally and through a TCP client.
-	_, _, err = eg.RunQuery(ctx, "items", vbtree.Query{Lo: &lo, Hi: &hi})
+	_, _, _, err := eg.RunShardQuery(ctx, "items", 0, vbtree.Query{Lo: &lo, Hi: &hi})
 	if !errors.Is(err, wire.ErrStaleReplica) {
 		t.Fatalf("query on diverged replica: %v, want wire.ErrStaleReplica", err)
 	}
@@ -165,7 +196,7 @@ func TestQueriesReportStaleReplicaAfterEpochDivergence(t *testing.T) {
 	if st.Mode != "snapshot" {
 		t.Fatalf("healing refresh mode = %q, want snapshot", st.Mode)
 	}
-	if _, _, err := eg.RunQuery(ctx, "items", vbtree.Query{Lo: &lo, Hi: &hi}); err != nil {
+	if _, _, _, err := eg.RunShardQuery(ctx, "items", 0, vbtree.Query{Lo: &lo, Hi: &hi}); err != nil {
 		t.Fatalf("query after snapshot reinstall: %v", err)
 	}
 }
@@ -190,7 +221,8 @@ func (c *flagCtx) Err() error {
 // accumulating one dial error per remaining table).
 func TestRefreshAllStopsOnCancelledContext(t *testing.T) {
 	srv, _ := startCentral(t, 60)
-	fake := &fakeCentral{key: serverKey(t), real: srv, epoch: 0xBADC0FFE}
+	fake := &fakeCentral{key: serverKey(t), real: srv}
+	fake.epoch.Store(0xBADC0FFE)
 	eg := New(fake.serve(t))
 	t.Cleanup(func() { eg.Close() })
 

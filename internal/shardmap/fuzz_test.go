@@ -28,17 +28,18 @@ func FuzzDecodeSigned(f *testing.F) {
 	f.Add(seedSigned())
 	f.Add(seedEpochSigned())
 	one := &Signed{
-		Map: &Map{Table: "t", Shards: []ShardState{{RootDigest: []byte{1}}}},
+		Map: &Map{Table: "t", MapEpoch: 1, Shards: []ShardState{{RootDigest: []byte{1}, ID: 1}}},
 		Sig: []byte{1},
 	}
 	f.Add(one.Encode())
 	str := &Signed{
 		Map: &Map{
 			Table:      "s",
+			MapEpoch:   1,
 			Boundaries: []schema.Datum{schema.Str("m")},
 			Shards: []ShardState{
-				{RootDigest: []byte{1, 2}},
-				{RootDigest: []byte{3, 4}, Version: 8},
+				{RootDigest: []byte{1, 2}, ID: 1},
+				{RootDigest: []byte{3, 4}, Version: 8, ID: 2},
 			},
 		},
 		Sig: bytes.Repeat([]byte{7}, 64),

@@ -15,11 +15,12 @@ func testMap() *Map {
 		KeyVersion: 3,
 		SignedAt:   1_700_000_000,
 		Boundaries: []schema.Datum{schema.Int64(100), schema.Int64(200), schema.Int64(300)},
+		MapEpoch:   1,
 		Shards: []ShardState{
-			{RootDigest: []byte{1, 1, 1, 1}, Version: 9},
-			{RootDigest: []byte{2, 2, 2, 2}, Version: 3},
-			{RootDigest: []byte{3, 3, 3, 3}, Version: 0},
-			{RootDigest: []byte{4, 4, 4, 4}, Version: 12},
+			{RootDigest: []byte{1, 1, 1, 1}, Version: 9, ID: 1},
+			{RootDigest: []byte{2, 2, 2, 2}, Version: 3, ID: 2},
+			{RootDigest: []byte{3, 3, 3, 3}, Version: 0, ID: 3},
+			{RootDigest: []byte{4, 4, 4, 4}, Version: 12, ID: 4},
 		},
 	}
 }

@@ -128,7 +128,7 @@ func ValidateTransition(parent, child *Map) error {
 	if parent.Epoch != child.Epoch {
 		return fmt.Errorf("%w: table incarnation changed", ErrBadTransition)
 	}
-	if parent.MapEpoch == 0 || child.MapEpoch != parent.MapEpoch+1 || child.ParentEpoch != parent.MapEpoch {
+	if child.MapEpoch != parent.MapEpoch+1 || child.ParentEpoch != parent.MapEpoch {
 		return fmt.Errorf("%w: generation link %d->%d (parent link %d)", ErrBadTransition,
 			parent.MapEpoch, child.MapEpoch, child.ParentEpoch)
 	}

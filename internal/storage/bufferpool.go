@@ -30,7 +30,7 @@ func (f *Frame) Page() Page { return AsPage(f.buf) }
 
 // BufferPool caches pages over a Pager with LRU replacement of unpinned
 // frames. It is safe for concurrent use; page-content synchronization is
-// the caller's concern (the lock manager handles logical locking).
+// the caller's concern (the VB-tree serializes writers on its mutex).
 type BufferPool struct {
 	mu     sync.Mutex
 	pager  Pager

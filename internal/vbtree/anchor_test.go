@@ -10,7 +10,7 @@ import (
 // whole tree, so the top digest recovers to the root digest — even for
 // a narrow query whose minimal envelope would sit several levels down.
 func TestAnchorRootPinsEnvelope(t *testing.T) {
-	h := newHarness(t, 300, 1024, false)
+	h := newHarness(t, 300, 1024)
 	height := h.tree.Height()
 	if height < 2 {
 		t.Fatalf("need a multi-level tree, height = %d", height)

@@ -5,7 +5,6 @@ import (
 	"sync"
 
 	"edgeauth/internal/digest"
-	"edgeauth/internal/lock"
 	"edgeauth/internal/schema"
 	"edgeauth/internal/sig"
 	"edgeauth/internal/storage"
@@ -78,10 +77,6 @@ func (t *Tree) InsertBatch(tuples []schema.Tuple) (BatchStats, []error, error) {
 		u:      make(map[storage.PageID]digest.Value),
 		dirty:  make(map[storage.PageID]bool),
 		tupU:   make(map[string]digest.Value),
-	}
-	if t.locks != nil {
-		b.txn = t.locks.Begin()
-		defer t.locks.ReleaseAll(b.txn)
 	}
 
 	// Phase 2: structural inserts; digests untouched, dirty set grows.
@@ -205,7 +200,6 @@ type treeBatch struct {
 	// recomputation recovers each pre-existing entry at most once per
 	// batch (new entries are known without any recovery).
 	tupU map[string]digest.Value
-	txn  lock.TxnID
 }
 
 // placeholderSig reserves exactly one stored entry's worth of space in a
@@ -256,9 +250,6 @@ func (b *treeBatch) nodeType(pid storage.PageID) (storage.PageType, error) {
 // returned split carries the new right sibling; digests are repaired
 // after the whole batch has been placed.
 func (b *treeBatch) insertAt(pid storage.PageID, pt *preparedTuple) (*vbSplit, error) {
-	if err := b.t.xlock(b.txn, pid); err != nil {
-		return nil, err
-	}
 	nt, err := b.nodeType(pid)
 	if err != nil {
 		return nil, err
@@ -331,9 +322,6 @@ func (b *treeBatch) insertLeaf(pid storage.PageID, pt *preparedTuple) (*vbSplit,
 	n.rids = n.rids[:mid]
 	n.sigs = n.sigs[:mid]
 	n.next = rightPid
-	if err := b.t.xlock(b.txn, rightPid); err != nil {
-		return nil, err
-	}
 	b.leaves[rightPid] = right
 	b.dirty[rightPid] = true
 	return &vbSplit{sep: append([]byte(nil), right.keys[0]...), right: rightPid}, nil
@@ -357,9 +345,6 @@ func (b *treeBatch) splitInner(pid storage.PageID, n *vbInternal) (*vbSplit, err
 	n.keys = n.keys[:mid]
 	n.children = n.children[:mid+1]
 	n.sigs = n.sigs[:mid+1]
-	if err := b.t.xlock(b.txn, rightPid); err != nil {
-		return nil, err
-	}
 	b.inners[rightPid] = right
 	b.dirty[rightPid] = true
 	return &vbSplit{sep: upKey, right: rightPid}, nil
@@ -373,9 +358,6 @@ func (b *treeBatch) growRoot(split *vbSplit) error {
 	}
 	newRootPid := f.ID()
 	b.t.bp.Unpin(f, true)
-	if err := b.t.xlock(b.txn, newRootPid); err != nil {
-		return err
-	}
 	b.inners[newRootPid] = &vbInternal{
 		keys:     [][]byte{split.sep},
 		children: []storage.PageID{b.t.root, split.right},

@@ -19,7 +19,7 @@ func TestPropertyRandomOpsStayVerifiable(t *testing.T) {
 	}
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		h := newHarness(t, 60, 1024, false)
+		h := newHarness(t, 60, 1024)
 		live := make(map[int]bool)
 		for i := 0; i < 60; i++ {
 			live[i] = true
@@ -109,7 +109,7 @@ func TestPropertyRandomOpsStayVerifiable(t *testing.T) {
 // TestPropertyProjectionSubsetsVerify checks that every projection subset
 // of a query verifies, not just the full row.
 func TestPropertyProjectionSubsetsVerify(t *testing.T) {
-	h := newHarness(t, 120, 1024, false)
+	h := newHarness(t, 120, 1024)
 	cols := []string{"id", "customer", "amount", "notes"}
 	// All non-empty subsets of the 4 columns.
 	for mask := 1; mask < 16; mask++ {
@@ -136,7 +136,7 @@ func TestPropertyProjectionSubsetsVerify(t *testing.T) {
 // TestPropertyQueryBoundaryAlignment sweeps range boundaries across leaf
 // boundaries (the off-by-one hotspot of enveloping-subtree computation).
 func TestPropertyQueryBoundaryAlignment(t *testing.T) {
-	h := newHarness(t, 200, 1024, false)
+	h := newHarness(t, 200, 1024)
 	for lo := 0; lo < 40; lo++ {
 		for width := 0; width < 25; width += 3 {
 			rs, w, err := h.tree.RunQuery(context.Background(), Query{Lo: i64(lo), Hi: i64(lo + width)})
@@ -153,11 +153,11 @@ func TestPropertyQueryBoundaryAlignment(t *testing.T) {
 	}
 }
 
-// TestConcurrentQueriesDuringUpdates exercises the §3.4 protocol end to
-// end: concurrent verified queries and updates with the lock manager
-// enabled, then a full audit.
+// TestConcurrentQueriesDuringUpdates runs verified queries concurrently
+// with inserts and deletes, which serialize on the tree's mutex, then
+// audits the whole tree.
 func TestConcurrentQueriesDuringUpdates(t *testing.T) {
-	h := newHarness(t, 300, 1024, true)
+	h := newHarness(t, 300, 1024)
 	var wg sync.WaitGroup
 	errs := make(chan error, 32)
 

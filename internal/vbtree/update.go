@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"edgeauth/internal/digest"
-	"edgeauth/internal/lock"
 	"edgeauth/internal/schema"
 	"edgeauth/internal/sig"
 	"edgeauth/internal/storage"
@@ -18,8 +17,8 @@ import (
 //
 //	D_N' = s( s⁻¹(D_N) · g^(d+1)(U_T) )   for the node d levels above the leaf.
 //
-// Nodes on the path are X-locked while their digests are modified. A node
-// split recomputes the digests of the two halves from their entries.
+// The tree's write lock is held for the whole insert. A node split
+// recomputes the digests of the two halves from their entries.
 func (t *Tree) Insert(tup schema.Tuple) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -45,17 +44,11 @@ func (t *Tree) Insert(tup schema.Tuple) error {
 		return fmt.Errorf("vbtree: leaf entry of %d bytes exceeds page size", maxEntry)
 	}
 
-	var txn lock.TxnID
-	if t.locks != nil {
-		txn = t.locks.Begin()
-		defer t.locks.ReleaseAll(txn)
-	}
-
 	rootOldU, err := t.currentRootU()
 	if err != nil {
 		return err
 	}
-	res, err := t.insertAt(t.root, rootOldU, keyBytes, st, ut, dt, txn)
+	res, err := t.insertAt(t.root, rootOldU, keyBytes, st, ut, dt)
 	if err != nil {
 		return err
 	}
@@ -123,11 +116,7 @@ type vbSplit struct {
 }
 
 func (t *Tree) insertAt(pid storage.PageID, myOldU digest.Value, keyBytes []byte,
-	st *vo.StoredTuple, ut digest.Value, dt sig.Signature, txn lock.TxnID) (insertResult, error) {
-
-	if err := t.xlock(txn, pid); err != nil {
-		return insertResult{}, err
-	}
+	st *vo.StoredTuple, ut digest.Value, dt sig.Signature) (insertResult, error) {
 	pt, err := t.pageType(pid)
 	if err != nil {
 		return insertResult{}, err
@@ -145,7 +134,7 @@ func (t *Tree) insertAt(pid storage.PageID, myOldU digest.Value, keyBytes []byte
 	if err != nil {
 		return insertResult{}, err
 	}
-	childRes, err := t.insertAt(n.children[ci], childOldU, keyBytes, st, ut, dt, txn)
+	childRes, err := t.insertAt(n.children[ci], childOldU, keyBytes, st, ut, dt)
 	if err != nil {
 		return insertResult{}, err
 	}
@@ -222,9 +211,6 @@ func (t *Tree) insertAt(pid storage.PageID, myOldU digest.Value, keyBytes []byte
 	}
 	rightPid := rf.ID()
 	t.bp.Unpin(rf, true)
-	if err := t.xlock(txn, rightPid); err != nil {
-		return insertResult{}, err
-	}
 	if err := t.writeInternal(pid, n); err != nil {
 		return insertResult{}, err
 	}
@@ -341,10 +327,10 @@ func (t *Tree) Delete(key schema.Datum) error {
 }
 
 // DeleteRange removes every tuple with lo <= key <= hi (nil = unbounded)
-// and returns how many were removed. Following the paper, the transaction
-// X-locks all digests on the paths to the affected leaves, deletes the
-// tuples, then recomputes the digests back up to the root. Nodes are
-// detached only when they become empty.
+// and returns how many were removed. Under the tree's write lock it
+// deletes the tuples on the paths to the affected leaves, then recomputes
+// the digests back up to the root. Nodes are detached only when they
+// become empty.
 func (t *Tree) DeleteRange(lo, hi *schema.Datum) (int, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -358,16 +344,11 @@ func (t *Tree) DeleteRange(lo, hi *schema.Datum) (int, error) {
 	if hi != nil {
 		hiB = hi.KeyBytes()
 	}
-	var txn lock.TxnID
-	if t.locks != nil {
-		txn = t.locks.Begin()
-		defer t.locks.ReleaseAll(txn)
-	}
 	rootOldU, err := t.currentRootU()
 	if err != nil {
 		return 0, err
 	}
-	res, err := t.deleteAt(t.root, rootOldU, loB, hiB, txn)
+	res, err := t.deleteAt(t.root, rootOldU, loB, hiB)
 	if err != nil {
 		return 0, err
 	}
@@ -446,10 +427,7 @@ type deleteResult struct {
 	removed int
 }
 
-func (t *Tree) deleteAt(pid storage.PageID, myOldU digest.Value, lo, hi []byte, txn lock.TxnID) (deleteResult, error) {
-	if err := t.xlock(txn, pid); err != nil {
-		return deleteResult{}, err
-	}
+func (t *Tree) deleteAt(pid storage.PageID, myOldU digest.Value, lo, hi []byte) (deleteResult, error) {
 	pt, err := t.pageType(pid)
 	if err != nil {
 		return deleteResult{}, err
@@ -511,7 +489,7 @@ func (t *Tree) deleteAt(pid storage.PageID, myOldU digest.Value, lo, hi []byte, 
 		if err != nil {
 			return deleteResult{}, err
 		}
-		res, err := t.deleteAt(n.children[i], childOldU, lo, hi, txn)
+		res, err := t.deleteAt(n.children[i], childOldU, lo, hi)
 		if err != nil {
 			return deleteResult{}, err
 		}
@@ -559,14 +537,6 @@ func (t *Tree) deleteAt(pid storage.PageID, myOldU digest.Value, lo, hi []byte, 
 		return deleteResult{}, err
 	}
 	return deleteResult{newU: acc.Value(), removed: removed}, nil
-}
-
-// xlock X-locks a page when the locking protocol is active.
-func (t *Tree) xlock(txn lock.TxnID, pid storage.PageID) error {
-	if t.locks == nil {
-		return nil
-	}
-	return t.locks.Acquire(txn, t.lockRes(pid), lock.Exclusive)
 }
 
 func insertKey(s [][]byte, i int, v []byte) [][]byte {

@@ -18,10 +18,11 @@
 // (Signer nil) it answers range/filter/projection queries, producing a
 // verification object over the enveloping subtree (paper §3.3).
 //
-// When a lock.Manager is configured, operations follow the paper's §3.4
-// protocol: queries S-lock the nodes of their enveloping subtree, updates
-// X-lock the nodes on their root-to-leaf paths, so non-overlapping queries
-// and updates proceed concurrently.
+// Concurrency does not follow the paper's §3.4 page-lock protocol, which
+// is not implemented. Every mutation (Insert, DeleteRange, ApplyBatch)
+// holds the tree's mutex exclusively, so writers to one tree serialize.
+// Readers do not lock pages: the servers answer queries from a View over
+// an immutable published snapshot (TableState.ViewOver).
 package vbtree
 
 import (
@@ -31,7 +32,6 @@ import (
 	"time"
 
 	"edgeauth/internal/digest"
-	"edgeauth/internal/lock"
 	"edgeauth/internal/schema"
 	"edgeauth/internal/sig"
 	"edgeauth/internal/storage"
@@ -59,8 +59,6 @@ type Config struct {
 	Signer *sig.PrivateKey
 	// Pub verifies/recovers digests; required.
 	Pub *sig.PublicKey
-	// Locks, when non-nil, enables the §3.4 locking protocol.
-	Locks *lock.Manager
 	// Now supplies timestamps for VOs; defaults to time.Now.
 	Now func() int64
 	// BuildParallelism bounds the signing workers used by Build.
@@ -96,7 +94,6 @@ type Tree struct {
 	acc    *digest.Accumulator
 	signer *sig.PrivateKey
 	pub    *sig.PublicKey
-	locks  *lock.Manager
 	now    func() int64
 
 	root    storage.PageID
@@ -227,7 +224,6 @@ func attach(cfg Config) (*Tree, error) {
 		acc:      cfg.Acc,
 		signer:   cfg.Signer,
 		pub:      cfg.Pub,
-		locks:    cfg.Locks,
 		now:      now,
 		merkle:   cfg.Pub.Scheme.Merkle(),
 		buildPar: par,
@@ -278,11 +274,6 @@ func (t *Tree) RootDigest() (digest.Value, error) {
 // MerkleMode reports whether interior entries are raw Merkle commitments
 // (only the root digest signed).
 func (t *Tree) MerkleMode() bool { return t.merkle }
-
-// lockRes names a page in the lock manager's space.
-func (t *Tree) lockRes(id storage.PageID) lock.Resource {
-	return lock.Resource{Space: "vb:" + t.sch.Table, ID: uint64(id)}
-}
 
 // sign signs an unsigned digest with the central server's key.
 func (t *Tree) sign(u digest.Value) (sig.Signature, error) {

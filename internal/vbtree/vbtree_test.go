@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"edgeauth/internal/digest"
-	"edgeauth/internal/lock"
 	"edgeauth/internal/schema"
 	"edgeauth/internal/sig"
 	"edgeauth/internal/storage"
@@ -58,7 +57,7 @@ type harness struct {
 
 // newHarness builds a VB-tree over n sequential tuples with small pages so
 // even modest n produces a multi-level tree.
-func newHarness(t testing.TB, n, pageSize int, withLocks bool) *harness {
+func newHarness(t testing.TB, n, pageSize int) *harness {
 	t.Helper()
 	k := signer(t)
 	mem, err := storage.NewMemPager(pageSize)
@@ -82,9 +81,6 @@ func newHarness(t testing.TB, n, pageSize int, withLocks bool) *harness {
 		Signer: k,
 		Pub:    k.Public(),
 		Now:    func() int64 { return 1_700_000_000 },
-	}
-	if withLocks {
-		cfg.Locks = lock.NewManager(0)
 	}
 	tuples := make([]schema.Tuple, n)
 	for i := 0; i < n; i++ {
@@ -127,7 +123,7 @@ func (h *harness) mustVerify(t testing.TB, rs *vo.ResultSet, w *vo.VO) {
 }
 
 func TestBuildShape(t *testing.T) {
-	h := newHarness(t, 300, 1024, false)
+	h := newHarness(t, 300, 1024)
 	st, err := h.tree.Stats(8)
 	if err != nil {
 		t.Fatal(err)
@@ -150,7 +146,7 @@ func TestBuildShape(t *testing.T) {
 }
 
 func TestBuildRejectsBadInput(t *testing.T) {
-	h := newHarness(t, 0, 1024, false)
+	h := newHarness(t, 0, 1024)
 	// Unsorted tuples.
 	if _, err := Build(h.cfg, []schema.Tuple{mkTuple(2), mkTuple(1)}, 1.0); err == nil {
 		t.Fatal("unsorted build accepted")
@@ -178,7 +174,7 @@ func TestBuildRejectsBadInput(t *testing.T) {
 }
 
 func TestSearch(t *testing.T) {
-	h := newHarness(t, 200, 1024, false)
+	h := newHarness(t, 200, 1024)
 	st, found, err := h.tree.Search(schema.Int64(57))
 	if err != nil || !found {
 		t.Fatalf("Search(57): found=%v err=%v", found, err)
@@ -224,7 +220,7 @@ func mustTupleSig(t *testing.T, h *harness, i int) sig.Signature {
 }
 
 func TestScanAll(t *testing.T) {
-	h := newHarness(t, 150, 1024, false)
+	h := newHarness(t, 150, 1024)
 	all, err := h.tree.ScanAll()
 	if err != nil {
 		t.Fatal(err)
@@ -240,7 +236,7 @@ func TestScanAll(t *testing.T) {
 }
 
 func TestRangeQueryVerifies(t *testing.T) {
-	h := newHarness(t, 500, 1024, false)
+	h := newHarness(t, 500, 1024)
 	cases := []struct {
 		name   string
 		lo, hi *schema.Datum
@@ -267,7 +263,7 @@ func TestRangeQueryVerifies(t *testing.T) {
 }
 
 func TestProjectionVerifies(t *testing.T) {
-	h := newHarness(t, 300, 1024, false)
+	h := newHarness(t, 300, 1024)
 	rs, w := h.query(t, Query{Lo: i64(50), Hi: i64(80), Project: []string{"id", "amount"}})
 	if len(rs.Tuples) != 31 {
 		t.Fatalf("got %d tuples", len(rs.Tuples))
@@ -290,7 +286,7 @@ func TestProjectionVerifies(t *testing.T) {
 }
 
 func TestProjectionValidation(t *testing.T) {
-	h := newHarness(t, 50, 1024, false)
+	h := newHarness(t, 50, 1024)
 	if _, _, err := h.tree.RunQuery(context.Background(), Query{Project: []string{"ghost"}}); err == nil {
 		t.Fatal("unknown column accepted")
 	}
@@ -306,7 +302,7 @@ func TestProjectionValidation(t *testing.T) {
 }
 
 func TestFilterQueryVerifies(t *testing.T) {
-	h := newHarness(t, 400, 1024, false)
+	h := newHarness(t, 400, 1024)
 	// Non-key selection: keep only tuples whose customer ends in "-003".
 	rs, w := h.query(t, Query{
 		Lo: i64(0), Hi: i64(399),
@@ -337,7 +333,7 @@ func TestFilterQueryVerifies(t *testing.T) {
 }
 
 func TestEmptyResultVerifies(t *testing.T) {
-	h := newHarness(t, 200, 1024, false)
+	h := newHarness(t, 200, 1024)
 	// A filter nothing matches.
 	rs, w := h.query(t, Query{
 		Lo: i64(0), Hi: i64(199),
@@ -357,7 +353,7 @@ func TestEmptyResultVerifies(t *testing.T) {
 }
 
 func TestEmptyTreeQuery(t *testing.T) {
-	h := newHarness(t, 0, 1024, false)
+	h := newHarness(t, 0, 1024)
 	rs, w := h.query(t, Query{})
 	if len(rs.Tuples) != 0 {
 		t.Fatal("expected empty result from empty tree")
@@ -371,7 +367,7 @@ func TestVOSizeIndependentOfTableSize(t *testing.T) {
 	sizes := []int{200, 2000}
 	var digests []int
 	for _, n := range sizes {
-		h := newHarness(t, n, 1024, false)
+		h := newHarness(t, n, 1024)
 		_, w := h.query(t, Query{Lo: i64(50), Hi: i64(99)})
 		digests = append(digests, w.NumDigests())
 	}
@@ -383,7 +379,7 @@ func TestVOSizeIndependentOfTableSize(t *testing.T) {
 }
 
 func TestTamperedValueRejected(t *testing.T) {
-	h := newHarness(t, 300, 1024, false)
+	h := newHarness(t, 300, 1024)
 	rs, w := h.query(t, Query{Lo: i64(10), Hi: i64(40)})
 	rs.Tuples[5].Values[2] = schema.Float64(999999) // inflate an amount
 	if err := h.ver.Verify(rs, w); err == nil {
@@ -392,7 +388,7 @@ func TestTamperedValueRejected(t *testing.T) {
 }
 
 func TestSpuriousTupleRejected(t *testing.T) {
-	h := newHarness(t, 300, 1024, false)
+	h := newHarness(t, 300, 1024)
 	rs, w := h.query(t, Query{Lo: i64(10), Hi: i64(40)})
 	// Inject a plausible but fake tuple.
 	fake := mkTuple(35)
@@ -405,7 +401,7 @@ func TestSpuriousTupleRejected(t *testing.T) {
 }
 
 func TestDroppedTupleRejected(t *testing.T) {
-	h := newHarness(t, 300, 1024, false)
+	h := newHarness(t, 300, 1024)
 	rs, w := h.query(t, Query{Lo: i64(10), Hi: i64(40)})
 	rs.Keys = rs.Keys[:len(rs.Keys)-1]
 	rs.Tuples = rs.Tuples[:len(rs.Tuples)-1]
@@ -415,7 +411,7 @@ func TestDroppedTupleRejected(t *testing.T) {
 }
 
 func TestForgedVORejected(t *testing.T) {
-	h := newHarness(t, 300, 1024, false)
+	h := newHarness(t, 300, 1024)
 	rs, w := h.query(t, Query{Lo: i64(10), Hi: i64(40)})
 	if len(w.DS) == 0 {
 		t.Skip("no DS entries to tamper with")
@@ -428,7 +424,7 @@ func TestForgedVORejected(t *testing.T) {
 }
 
 func TestSwappedDigestRejected(t *testing.T) {
-	h := newHarness(t, 300, 1024, false)
+	h := newHarness(t, 300, 1024)
 	// A single-tuple query is enveloped by one leaf; a wide query by an
 	// internal node — their top digests are necessarily different.
 	rs1, w1 := h.query(t, Query{Lo: i64(10), Hi: i64(10)})
@@ -446,7 +442,7 @@ func TestReorderedResultStillVerifies(t *testing.T) {
 	// Commutativity: tuple order inside the result does not affect the
 	// digest product. (Order verification is a separate concern the paper
 	// does not claim.)
-	h := newHarness(t, 300, 1024, false)
+	h := newHarness(t, 300, 1024)
 	rs, w := h.query(t, Query{Lo: i64(10), Hi: i64(20)})
 	rs.Keys[0], rs.Keys[1] = rs.Keys[1], rs.Keys[0]
 	rs.Tuples[0], rs.Tuples[1] = rs.Tuples[1], rs.Tuples[0]
@@ -454,7 +450,7 @@ func TestReorderedResultStillVerifies(t *testing.T) {
 }
 
 func TestWrongTableRejected(t *testing.T) {
-	h := newHarness(t, 100, 1024, false)
+	h := newHarness(t, 100, 1024)
 	rs, w := h.query(t, Query{Lo: i64(10), Hi: i64(20)})
 	rs.Table = "other"
 	if err := h.ver.Verify(rs, w); err == nil {
@@ -463,7 +459,7 @@ func TestWrongTableRejected(t *testing.T) {
 }
 
 func TestInsertMaintainsDigests(t *testing.T) {
-	h := newHarness(t, 120, 1024, false)
+	h := newHarness(t, 120, 1024)
 	// Insert enough out-of-order tuples to force leaf and internal splits.
 	for _, i := range []int{500, 130, 125, 600, 123, 124, 126, 127, 128, 129, 550, 560, 570} {
 		if err := h.tree.Insert(mkTuple(i)); err != nil {
@@ -481,7 +477,7 @@ func TestInsertMaintainsDigests(t *testing.T) {
 }
 
 func TestInsertDuplicateRejected(t *testing.T) {
-	h := newHarness(t, 50, 1024, false)
+	h := newHarness(t, 50, 1024)
 	if err := h.tree.Insert(mkTuple(25)); err != ErrDuplicateKey {
 		t.Fatalf("duplicate insert: %v", err)
 	}
@@ -491,7 +487,7 @@ func TestInsertDuplicateRejected(t *testing.T) {
 }
 
 func TestInsertManySplitsVerify(t *testing.T) {
-	h := newHarness(t, 0, 1024, false)
+	h := newHarness(t, 0, 1024)
 	for i := 0; i < 300; i++ {
 		// Interleaved order to exercise splits at both ends.
 		k := (i*7 + 3) % 1000
@@ -510,7 +506,7 @@ func TestInsertManySplitsVerify(t *testing.T) {
 }
 
 func TestDeleteMaintainsDigests(t *testing.T) {
-	h := newHarness(t, 300, 1024, false)
+	h := newHarness(t, 300, 1024)
 	if err := h.tree.Delete(schema.Int64(150)); err != nil {
 		t.Fatal(err)
 	}
@@ -528,7 +524,7 @@ func TestDeleteMaintainsDigests(t *testing.T) {
 }
 
 func TestDeleteRangeMaintainsDigests(t *testing.T) {
-	h := newHarness(t, 400, 1024, false)
+	h := newHarness(t, 400, 1024)
 	n, err := h.tree.DeleteRange(i64(100), i64(299))
 	if err != nil {
 		t.Fatal(err)
@@ -550,7 +546,7 @@ func TestDeleteRangeMaintainsDigests(t *testing.T) {
 }
 
 func TestDeleteEverything(t *testing.T) {
-	h := newHarness(t, 150, 1024, false)
+	h := newHarness(t, 150, 1024)
 	n, err := h.tree.DeleteRange(nil, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -578,7 +574,7 @@ func TestDeleteEverything(t *testing.T) {
 }
 
 func TestInterleavedUpdatesAndQueries(t *testing.T) {
-	h := newHarness(t, 200, 1024, false)
+	h := newHarness(t, 200, 1024)
 	for round := 0; round < 10; round++ {
 		base := 1000 + round*10
 		for i := 0; i < 5; i++ {
@@ -594,20 +590,8 @@ func TestInterleavedUpdatesAndQueries(t *testing.T) {
 	}
 }
 
-func TestUpdatesWithLockingProtocol(t *testing.T) {
-	h := newHarness(t, 200, 1024, true)
-	if err := h.tree.Insert(mkTuple(777)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := h.tree.DeleteRange(i64(20), i64(40)); err != nil {
-		t.Fatal(err)
-	}
-	rs, w := h.query(t, Query{Lo: i64(0), Hi: i64(100)})
-	h.mustVerify(t, rs, w)
-}
-
 func TestReadOnlyEdgeReplica(t *testing.T) {
-	h := newHarness(t, 100, 1024, false)
+	h := newHarness(t, 100, 1024)
 	// Re-open the same pages without a signer, as an edge server would.
 	edgeCfg := h.cfg
 	edgeCfg.Signer = nil
@@ -630,7 +614,7 @@ func TestReadOnlyEdgeReplica(t *testing.T) {
 }
 
 func TestOpenValidation(t *testing.T) {
-	h := newHarness(t, 10, 1024, false)
+	h := newHarness(t, 10, 1024)
 	if _, err := Open(h.cfg, storage.InvalidPageID, 1, h.tree.RootSig()); err == nil {
 		t.Fatal("invalid root accepted")
 	}
@@ -662,7 +646,7 @@ func TestFanOutFormulas(t *testing.T) {
 }
 
 func TestVerifierRejectsMalformedInputs(t *testing.T) {
-	h := newHarness(t, 50, 1024, false)
+	h := newHarness(t, 50, 1024)
 	rs, w := h.query(t, Query{Lo: i64(5), Hi: i64(10)})
 
 	if err := h.ver.Verify(nil, w); err == nil {
@@ -697,7 +681,7 @@ func TestVerifierRejectsMalformedInputs(t *testing.T) {
 }
 
 func TestKeyVersionEnforced(t *testing.T) {
-	h := newHarness(t, 50, 1024, false)
+	h := newHarness(t, 50, 1024)
 	rs, w := h.query(t, Query{Lo: i64(5), Hi: i64(10)})
 
 	// Registry-based verifier with an expired key version.
@@ -722,7 +706,7 @@ func TestKeyVersionEnforced(t *testing.T) {
 }
 
 func TestAuditCleanTree(t *testing.T) {
-	h := newHarness(t, 200, 1024, false)
+	h := newHarness(t, 200, 1024)
 	n, err := h.tree.Audit()
 	if err != nil {
 		t.Fatalf("Audit of clean tree: %v", err)
@@ -743,7 +727,7 @@ func TestAuditCleanTree(t *testing.T) {
 }
 
 func TestAuditDetectsHeapTampering(t *testing.T) {
-	h := newHarness(t, 100, 1024, false)
+	h := newHarness(t, 100, 1024)
 	// Corrupt a stored tuple's bytes behind the tree's back, as a hacked
 	// edge with disk access would.
 	st, found, err := h.tree.Search(schema.Int64(42))

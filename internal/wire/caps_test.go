@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 )
@@ -10,21 +11,28 @@ func TestHelloCapsRoundTrip(t *testing.T) {
 	if err != nil || v != ProtocolV2 || caps != CapPeerServe {
 		t.Fatalf("round trip: v=%d caps=%#x err=%v", v, caps, err)
 	}
-	// A pre-capability (4-byte) hello decodes with zero caps — old
-	// dialers keep working against new servers.
-	v, caps, err = DecodeHelloCaps(EncodeHello(ProtocolV2))
-	if err != nil || v != ProtocolV2 || caps != 0 {
-		t.Fatalf("legacy hello: v=%d caps=%#x err=%v", v, caps, err)
+	// The Hello frame a dialer sends, byte for byte: the handshake frame
+	// header (length 9, type 20), then version 2 and the caps word.
+	var frame bytes.Buffer
+	if err := WriteFrame(&frame, MsgHello, EncodeHelloCaps(ProtocolV2, CapPeerServe)); err != nil {
+		t.Fatal(err)
 	}
-	if _, _, err := DecodeHelloCaps([]byte{1, 2}); err == nil {
-		t.Fatal("truncated hello accepted")
+	if want := []byte{0, 0, 0, 9, 20, 0, 0, 0, 2, 0, 0, 0, 1}; !bytes.Equal(frame.Bytes(), want) {
+		t.Fatalf("hello frame = % x, want % x", frame.Bytes(), want)
+	}
+	// Only the 8-byte version+caps form is a hello: the pre-capability
+	// 4-byte form and trailing bytes are rejected.
+	for _, body := range [][]byte{
+		{0, 0, 0, ProtocolV2},
+		{1, 2},
+		append(EncodeHelloCaps(ProtocolV2, 0), 0),
+	} {
+		if _, _, err := DecodeHelloCaps(body); err == nil {
+			t.Fatalf("%d-byte hello accepted", len(body))
+		}
 	}
 	if _, _, err := DecodeHelloCaps(EncodeHelloCaps(0, 0)); err == nil {
 		t.Fatal("version 0 accepted")
-	}
-	// DecodeHello tolerates the extended form, ignoring the caps word.
-	if v, err := DecodeHello(EncodeHelloCaps(ProtocolV2, CapPeerServe)); err != nil || v != ProtocolV2 {
-		t.Fatalf("DecodeHello on extended hello: v=%d err=%v", v, err)
 	}
 }
 

@@ -3,39 +3,10 @@ package wire
 import (
 	"crypto/sha256"
 	"errors"
+	"fmt"
 
 	"edgeauth/internal/storage"
 )
-
-// DeltaRequest asks the central server for the changes a replica is
-// missing: everything committed after FromVersion. Epoch identifies the
-// table incarnation the replica descends from; versions are only
-// comparable within one epoch, so a mismatch (central restarted and
-// rebuilt the table) forces a snapshot instead of a divergent delta.
-type DeltaRequest struct {
-	Table       string
-	FromVersion uint64
-	Epoch       uint64
-}
-
-// Encode serializes the request.
-func (d *DeltaRequest) Encode() []byte {
-	out := appendStr(nil, d.Table)
-	out = appendU64(out, d.FromVersion)
-	return appendU64(out, d.Epoch)
-}
-
-// DecodeDeltaRequest parses a DeltaRequest.
-func DecodeDeltaRequest(body []byte) (*DeltaRequest, error) {
-	r := &reader{data: body}
-	d := &DeltaRequest{Table: r.str("table")}
-	d.FromVersion = r.u64("from version")
-	d.Epoch = r.u64("epoch")
-	if err := r.done(); err != nil {
-		return nil, err
-	}
-	return d, nil
-}
 
 // Delta is an incremental replica update: the pages dirtied by the ops in
 // (FromVersion, ToVersion], the tree metadata they anchor to, and the
@@ -134,7 +105,11 @@ func DecodeDelta(body []byte) (*Delta, error) {
 	d.FromVersion = r.u64("from version")
 	d.ToVersion = r.u64("to version")
 	d.Epoch = r.u64("epoch")
-	d.SnapshotNeeded = r.u8("snapshot-needed flag") == 1
+	flag := r.u8("snapshot-needed flag")
+	if flag > 1 {
+		return nil, fmt.Errorf("wire: snapshot-needed flag %d is not 0 or 1", flag)
+	}
+	d.SnapshotNeeded = flag == 1
 	d.Root = storage.PageID(r.u32("root"))
 	d.Height = r.u32("height")
 	d.RootSig = r.bytes("root sig")

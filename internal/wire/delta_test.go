@@ -25,15 +25,15 @@ func sampleDelta() *Delta {
 }
 
 func TestDeltaRequestRoundTrip(t *testing.T) {
-	req := &DeltaRequest{Table: "items", FromVersion: 42}
-	got, err := DecodeDeltaRequest(req.Encode())
+	req := &ShardDeltaRequest{Table: "items", Shard: 3, FromVersion: 42, Epoch: 7}
+	got, err := DecodeShardDeltaRequest(req.Encode())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Table != req.Table || got.FromVersion != req.FromVersion {
+	if *got != *req {
 		t.Fatalf("round trip: got %+v, want %+v", got, req)
 	}
-	if _, err := DecodeDeltaRequest(req.Encode()[:3]); err == nil {
+	if _, err := DecodeShardDeltaRequest(req.Encode()[:3]); err == nil {
 		t.Fatal("truncated request accepted")
 	}
 }

@@ -83,6 +83,61 @@ func FuzzDecodeQueryResponse(f *testing.F) {
 	})
 }
 
+// FuzzDecodeShardQueryResponse covers the decoder every client query
+// runs on edge-supplied bytes. The attached map stays opaque here (it is
+// fuzzed by the shardmap package's FuzzDecodeSigned); it must survive a
+// re-encode unchanged, since the client compares maps byte for byte.
+func FuzzDecodeShardQueryResponse(f *testing.F) {
+	rs := &vo.ResultSet{
+		DB: "db", Table: "items",
+		Columns: []string{"id"},
+		Keys:    []schema.Datum{schema.Int64(7)},
+		Tuples:  []schema.Tuple{schema.NewTuple(schema.Int64(7))},
+	}
+	w := &vo.VO{KeyVersion: 1, Timestamp: 1_700_000_000, TopLevel: 1, TopDigest: []byte{1, 2}}
+	resp := &ShardQueryResponse{Resp: &QueryResponse{Result: rs, VO: w}, SignedMap: []byte{9, 8, 7}}
+	f.Add(resp.Encode())
+	f.Add([]byte{})
+	f.Add(bytes.Repeat([]byte{0x01}, 40))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		q, err := DecodeShardQueryResponse(data)
+		if err != nil {
+			return
+		}
+		if q.Resp == nil || q.Resp.Result == nil || q.Resp.VO == nil {
+			t.Fatal("accepted shard query response with nil parts")
+		}
+		again, err := DecodeShardQueryResponse(q.Encode())
+		if err != nil {
+			t.Fatalf("re-encoded response rejected: %v", err)
+		}
+		if !bytes.Equal(again.SignedMap, q.SignedMap) {
+			t.Fatal("attached map changed across a re-encode")
+		}
+	})
+}
+
+// FuzzDecodeHelloCaps covers the first frame every server decodes from
+// an unauthenticated peer. Accepted bodies are exactly the 8-byte
+// version+caps form with a non-zero version, and re-encode byte for byte.
+func FuzzDecodeHelloCaps(f *testing.F) {
+	f.Add(EncodeHelloCaps(ProtocolV2, CapPeerServe))
+	f.Add([]byte{0, 0, 0, ProtocolV2})
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		v, caps, err := DecodeHelloCaps(data)
+		if err != nil {
+			return
+		}
+		if v == 0 {
+			t.Fatal("accepted protocol version 0")
+		}
+		if !bytes.Equal(EncodeHelloCaps(v, caps), data) {
+			t.Fatal("hello round-trip mismatch")
+		}
+	})
+}
+
 // FuzzDecodeBatchResponse covers the newest client-facing decoder.
 func FuzzDecodeBatchResponse(f *testing.F) {
 	resp := &BatchResponse{Results: []BatchOpResult{

@@ -1,10 +1,8 @@
 package wire
 
 import (
-	"errors"
 	"fmt"
 	"strconv"
-	"strings"
 
 	"edgeauth/internal/schema"
 )
@@ -19,41 +17,28 @@ import (
 //	edge   → central: ShardSnapshotReq   (table, shard)   → SnapshotResp
 //	edge   → central: ShardDeltaReq      (table, shard,…) → DeltaResp
 //	client → edge:    ShardMapReq        (table)          → ShardMapResp
-//	client → edge:    ShardQueryReq      (shard, query)   → QueryResp
+//	client → edge:    ShardQueryReq      (shard, query)   → ShardQueryResp
 //
-// Responses reuse the unsharded body codecs — a shard's snapshot, delta
-// and query answer have exactly the shapes of a small table's. Shard
-// deltas bind the shard index into the signed Table field (see
-// ShardRef) so a delta for shard 0 cannot be replayed against shard 3.
-//
-// All five requests are v2-era messages: an unsharded peer answers
-// them with a typed CodeUnsupported error (or a prose error on legacy
-// v1), and the caller falls back to the single-tree protocol. That is
-// the negotiated-compatibility story — no capability flags, just typed
-// rejection plus fallback.
+// Responses reuse the Snapshot, Delta and QueryResponse body codecs.
+// Shard deltas bind the shard's stable ID into the signed Table field
+// (see ShardRef) so a delta for one shard cannot be applied to another.
+// These are the only replication and query requests: a table with one
+// shard is served through them like any other.
 
 // ShardMapResp bodies are the shardmap.Signed encoding; the wire
 // package treats them as opaque bytes so it does not depend on the
 // shardmap package's types.
 
-// ShardRef names one shard of a table inside signed payloads (delta
-// signatures cover the Table field, so embedding the index there binds
-// the delta to its shard).
-func ShardRef(table string, shard uint32) string {
-	return table + "#" + strconv.FormatUint(uint64(shard), 10)
-}
-
-// ParseShardRef splits a ShardRef back into table and shard index.
-func ParseShardRef(ref string) (table string, shard uint32, err error) {
-	i := strings.LastIndexByte(ref, '#')
-	if i < 0 {
-		return "", 0, fmt.Errorf("wire: %q is not a shard ref", ref)
-	}
-	n, err := strconv.ParseUint(ref[i+1:], 10, 32)
-	if err != nil {
-		return "", 0, fmt.Errorf("wire: bad shard index in %q: %w", ref, err)
-	}
-	return ref[:i], uint32(n), nil
+// ShardRef names one shard of a table inside signed payloads by its
+// stable ID (shardmap.ShardState.ID), which is never reused within a
+// table incarnation. Delta signatures cover the Table field, so the ref
+// binds a delta to the shard it was cut from. Binding the position
+// instead would not do: a split or merge shifts the shards to its right,
+// and two siblings of one split share a version baseline, so a delta
+// requested for a position under an older map could come from a
+// different shard at matching versions.
+func ShardRef(table string, id uint64) string {
+	return table + "#" + strconv.FormatUint(id, 10)
 }
 
 // ShardSnapshotRequest asks the central server for one shard's full
@@ -81,7 +66,10 @@ func DecodeShardSnapshotRequest(body []byte) (*ShardSnapshotRequest, error) {
 }
 
 // ShardDeltaRequest asks the central server for the changes one shard
-// replica is missing.
+// replica is missing: everything committed after FromVersion. Epoch
+// identifies the table incarnation the replica descends from; versions
+// are only comparable within one epoch, so a mismatch (central restarted
+// and rebuilt the table) forces a snapshot instead of a divergent delta.
 type ShardDeltaRequest struct {
 	Table       string
 	Shard       uint32
@@ -269,16 +257,4 @@ func DecodeReshardResponse(body []byte) (*ReshardResponse, error) {
 		return nil, err
 	}
 	return q, nil
-}
-
-// ErrNotSharded is returned (inside a CodeUnsupported wire error) when a
-// shard-scoped request names a single-tree table, or an unsharded
-// request names a partitioned one.
-var ErrNotSharded = errors.New("wire: table partitioning mismatch")
-
-// NotSharded builds the typed error telling a peer to switch protocols
-// for this table (sharded peers fall back on it, unsharded ones report
-// it).
-func NotSharded(server, table, msg string) *WireError {
-	return &WireError{Code: CodeUnsupported, Table: table, Msg: server + ": " + msg}
 }

@@ -2,35 +2,31 @@ package wire
 
 // Protocol v2: concurrent request multiplexing over one connection.
 //
-// v1 sessions are strict one-frame-in/one-frame-out: a client writes a
-// request frame and blocks until the response frame arrives, so one slow
-// query serializes every caller sharing the connection. v2 keeps the v1
-// frame container but inserts a u32 request ID between the type byte and
+// Every session frame carries a u32 request ID between the type byte and
 // the body:
 //
-//	u32 len | u8 type | u32 reqID | body        (v2)
-//	u32 len | u8 type |            body         (v1)
+//	u32 len | u8 type | u32 reqID | body
 //
 // Responses echo the request ID of the frame they answer, so they may
 // return in any order and N callers can pipeline over one TCP connection.
 //
-// # Version negotiation
+// # Session opening
 //
-// A v2 peer opens every connection with a v1-framed Hello carrying the
-// highest protocol version it speaks. A v2 server replies HelloResp with
-// the negotiated version and both sides switch framing; a v1 server does
-// not know MsgHello, answers with its usual string error frame, and the
-// client silently downgrades to v1 one-in/one-out on the same connection.
-// A v1 client never sends Hello, so a v2 server falls back to serial v1
-// dispatch when the first frame is any other request. Both directions
-// therefore interoperate with no configuration.
+// The dialer opens every connection with a Hello carrying the highest
+// protocol version it speaks and its capability bits. Hello and its reply
+// travel in the shorter handshake frame (u32 len | u8 type | body, see
+// WriteFrame). The server answers HelloResp with the negotiated version
+// and its own capability bits, and both sides switch to v2 framing. A
+// first frame that is not a valid Hello, or one offering a version below
+// v2, is answered with a typed error frame and the connection is closed;
+// the dialer reports such a reply as a dial error. There is no fallback
+// framing.
 //
 // # Typed errors
 //
-// v1 error frames carry a bare string. In v2 sessions the MsgError body is
-// a structured WireError{code, table, message} so clients can distinguish
-// programmatically-actionable failures (unknown table, stale replica,
-// unsupported request) without parsing prose.
+// The MsgError body is a structured WireError{code, table, message} so
+// clients can distinguish programmatically-actionable failures (unknown
+// table, stale replica, unsupported request) without parsing prose.
 
 import (
 	"encoding/binary"
@@ -39,13 +35,9 @@ import (
 	"io"
 )
 
-// Protocol versions negotiated by the Hello handshake.
-const (
-	ProtocolV1 = 1
-	ProtocolV2 = 2
-	// MaxProtocol is the highest version this build speaks.
-	MaxProtocol = ProtocolV2
-)
+// ProtocolV2 is the protocol version every Hello offers and every
+// HelloResp confirms; a peer offering less is refused.
+const ProtocolV2 = 2
 
 // Capability bits carried in the Hello exchange (both directions). They
 // are advisory: a peer that lacks a capability still answers the
@@ -59,10 +51,6 @@ const (
 	CapPeerServe uint32 = 1 << 0
 )
 
-// EncodeHello builds the Hello body: the sender's maximum supported
-// protocol version.
-func EncodeHello(maxVersion uint32) []byte { return appendU32(nil, maxVersion) }
-
 // EncodeHelloCaps builds a Hello (or HelloResp) body carrying the
 // sender's protocol version and capability bits.
 func EncodeHelloCaps(maxVersion, caps uint32) []byte {
@@ -70,25 +58,12 @@ func EncodeHelloCaps(maxVersion, caps uint32) []byte {
 	return appendU32(out, caps)
 }
 
-// DecodeHello parses a Hello (or HelloResp) body, ignoring any
-// capability bits.
-func DecodeHello(body []byte) (uint32, error) {
-	v, _, err := DecodeHelloCaps(body)
-	return v, err
-}
-
-// DecodeHelloCaps parses a Hello (or HelloResp) body. The capability
-// word is optional: pre-capability peers sent a bare 4-byte version, so
-// both shapes decode (caps = 0 for the short form). A capability-era
-// hello sent to a strict pre-capability v2 server is answered with an
-// error frame, which the dialer already treats as a v1 downgrade — so
-// the extension degrades, never deadlocks.
+// DecodeHelloCaps parses a Hello (or HelloResp) body: exactly a u32
+// protocol version followed by a u32 capability word.
 func DecodeHelloCaps(body []byte) (version, caps uint32, err error) {
 	r := &reader{data: body}
 	version = r.u32("protocol version")
-	if len(body) > 4 {
-		caps = r.u32("capability bits")
-	}
+	caps = r.u32("capability bits")
 	if err := r.done(); err != nil {
 		return 0, 0, err
 	}
@@ -277,7 +252,7 @@ func ToWireError(err error) *WireError {
 
 // Unsupported builds the typed error for an unhandled message type.
 func Unsupported(server string, mt MsgType) *WireError {
-	return &WireError{Code: CodeUnsupported, Msg: server + ": unsupported message " + mt.String()}
+	return &WireError{Code: CodeUnsupported, Msg: server + ": no handler for " + mt.String()}
 }
 
 // UnknownTable builds the typed error for a missing table.

@@ -1,15 +1,16 @@
 // Package wire defines the binary protocol spoken between clients, edge
-// servers and the central server (the arrows of the paper's Figure 2):
+// servers and the central server (the arrows of the paper's Figure 2).
+// Every table is range-partitioned into n ≥ 1 shards bound by a signed
+// shard map, and replication and queries address one shard at a time
+// (see shard.go):
 //
-//	client → edge:    QueryReq            (selection/projection over a table)
-//	edge   → client:  QueryResp           (result set + verification object)
-//	edge   → central: SnapshotReq         (pull "DB + VB-trees")
-//	central→ edge:    SnapshotResp        (pages + tree metadata + version)
-//	edge   → central: DeltaReq            (table + the replica's version)
-//	central→ edge:    DeltaResp           (signed incremental update)
-//	client → central: InsertReq/DeleteReq (updates go to the trusted server)
-//	client → central: PubKeyReq           (the PKI stand-in: an authenticated
-//	                                       channel to the signer's public key)
+//	client → edge:    ShardMapReq, ShardQueryReq (verified scatter-gather)
+//	edge   → central: ShardMapReq, ShardSnapshotReq, ShardDeltaReq
+//	central→ edge:    ShardMapResp, SnapshotResp, DeltaResp
+//	client → central: InsertReq/BatchReq/DeleteReq (updates go to the
+//	                  trusted server)
+//	client → central: PubKeyReq (the PKI stand-in: an authenticated
+//	                  channel to the signer's public key)
 //
 // # Delta propagation
 //
@@ -17,10 +18,10 @@
 // servers periodically. Re-shipping a full snapshot per refresh is
 // O(table); the delta frames ship only what changed:
 //
-//   - DeltaReq carries {table, fromVersion}, where fromVersion is the
-//     table version the edge's replica currently reflects (versions are
-//     bumped once per committed insert/delete at the central server, in
-//     lockstep with the WAL's LSNs).
+//   - ShardDeltaReq carries {table, shard, fromVersion, epoch}, where
+//     fromVersion is the shard version the edge's replica currently
+//     reflects (versions are bumped once per committed update at the
+//     central server, in lockstep with the WAL's LSNs).
 //   - DeltaResp carries {fromVersion, toVersion, tree metadata, the pages
 //     dirtied by the ops in (fromVersion, toVersion]} plus a signature by
 //     the central server over a hash of the delta content, so an edge
@@ -29,8 +30,8 @@
 //     re-anchors client verification at the new root signature.
 //   - When the central server's retained changelog no longer covers
 //     fromVersion (retention window passed, or the server restarted),
-//     DeltaResp has SnapshotNeeded set and the edge falls back to a full
-//     SnapshotReq.
+//     DeltaResp has SnapshotNeeded set and the edge falls back to a
+//     ShardSnapshotReq.
 //
 // Frames are u32 length | u8 type | body, big-endian, with a hard frame
 // cap to bound allocation from untrusted peers.
@@ -38,7 +39,6 @@ package wire
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
 )
@@ -46,11 +46,13 @@ import (
 // MsgType tags a frame.
 type MsgType uint8
 
+// The numbering is part of the protocol. Retired types keep their slots
+// (marked _) so every live type keeps its number.
 const (
 	MsgError MsgType = iota + 1
-	MsgQueryReq
-	MsgQueryResp
-	MsgSnapshotReq
+	_                // 2: retired single-tree query request
+	_                // 3: retired single-tree query response
+	_                // 4: retired single-tree snapshot request
 	MsgSnapshotResp
 	MsgListTablesReq
 	MsgListTablesResp
@@ -64,20 +66,20 @@ const (
 	MsgDeleteResp
 	MsgVersionReq
 	MsgVersionResp
-	MsgDeltaReq
+	_ // 18: retired single-tree delta request
 	MsgDeltaResp
-	// MsgHello / MsgHelloResp negotiate the protocol version (see v2.go).
-	// They are always exchanged in v1 framing, before the session's
-	// framing is decided, so v1 peers can reject them gracefully.
+	// MsgHello / MsgHelloResp open every session (see v2.go). They
+	// travel in the request-ID-less frame of WriteFrame, before the
+	// session switches to v2 framing.
 	MsgHello
 	MsgHelloResp
 	// MsgBatchReq / MsgBatchResp carry a group-committed insert batch to
 	// the central server and its typed per-op results back (see batch.go).
 	MsgBatchReq
 	MsgBatchResp
-	// Shard-scoped frames for range-partitioned tables (see shard.go).
-	// ShardMapResp carries a shardmap.Signed encoding; shard snapshots,
-	// deltas and query answers reuse the unsharded response codecs.
+	// Shard-scoped frames (see shard.go). ShardMapResp carries a
+	// shardmap.Signed encoding; shard snapshots and deltas are answered
+	// with MsgSnapshotResp and MsgDeltaResp.
 	MsgShardMapReq
 	MsgShardMapResp
 	MsgShardSnapshotReq
@@ -93,16 +95,14 @@ const (
 
 func (m MsgType) String() string {
 	names := map[MsgType]string{
-		MsgError: "error", MsgQueryReq: "query-req", MsgQueryResp: "query-resp",
-		MsgSnapshotReq: "snapshot-req", MsgSnapshotResp: "snapshot-resp",
+		MsgError: "error", MsgSnapshotResp: "snapshot-resp",
 		MsgListTablesReq: "list-tables-req", MsgListTablesResp: "list-tables-resp",
 		MsgPubKeyReq: "pubkey-req", MsgPubKeyResp: "pubkey-resp",
 		MsgSchemaReq: "schema-req", MsgSchemaResp: "schema-resp",
 		MsgInsertReq: "insert-req", MsgInsertResp: "insert-resp",
 		MsgDeleteReq: "delete-req", MsgDeleteResp: "delete-resp",
 		MsgVersionReq: "version-req", MsgVersionResp: "version-resp",
-		MsgDeltaReq: "delta-req", MsgDeltaResp: "delta-resp",
-		MsgHello: "hello", MsgHelloResp: "hello-resp",
+		MsgDeltaResp: "delta-resp", MsgHello: "hello", MsgHelloResp: "hello-resp",
 		MsgBatchReq: "batch-req", MsgBatchResp: "batch-resp",
 		MsgShardMapReq: "shard-map-req", MsgShardMapResp: "shard-map-resp",
 		MsgShardSnapshotReq: "shard-snapshot-req",
@@ -154,13 +154,11 @@ func ReadFrame(r io.Reader) (MsgType, []byte, error) {
 	return MsgType(buf[0]), buf[1:], nil
 }
 
-// WriteError sends an error frame.
+// WriteError sends a typed error frame in the handshake framing of
+// WriteFrame: the answer to a session opening that is not a valid Hello.
 func WriteError(w io.Writer, err error) error {
-	return WriteFrame(w, MsgError, []byte(err.Error()))
+	return WriteFrame(w, MsgError, ToWireError(err).Encode())
 }
-
-// AsError converts an error frame's body.
-func AsError(body []byte) error { return errors.New(string(body)) }
 
 // --- primitive encoding helpers shared by the message codecs ---
 

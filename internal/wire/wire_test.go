@@ -2,6 +2,8 @@ package wire
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"testing"
 
 	"edgeauth/internal/digest"
@@ -15,14 +17,14 @@ import (
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	body := []byte("hello frame")
-	if err := WriteFrame(&buf, MsgQueryReq, body); err != nil {
+	if err := WriteFrame(&buf, MsgShardQueryReq, body); err != nil {
 		t.Fatal(err)
 	}
 	mt, got, err := ReadFrame(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mt != MsgQueryReq || !bytes.Equal(got, body) {
+	if mt != MsgShardQueryReq || !bytes.Equal(got, body) {
 		t.Fatalf("frame = %v %q", mt, got)
 	}
 }
@@ -62,24 +64,72 @@ func TestReadFrameRejectsGarbage(t *testing.T) {
 
 func TestErrorFrame(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteError(&buf, AsError([]byte("boom"))); err != nil {
+	if err := WriteError(&buf, errors.New("boom")); err != nil {
 		t.Fatal(err)
 	}
 	mt, body, err := ReadFrame(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mt != MsgError || AsError(body).Error() != "boom" {
+	if we := DecodeWireError(body); mt != MsgError || we.Code != CodeInternal || we.Msg != "boom" {
 		t.Fatalf("error frame = %v %q", mt, body)
 	}
 }
 
 func TestMsgTypeString(t *testing.T) {
-	if MsgQueryReq.String() != "query-req" || MsgSnapshotResp.String() != "snapshot-resp" {
+	if MsgShardQueryReq.String() != "shard-query-req" || MsgSnapshotResp.String() != "snapshot-resp" {
 		t.Fatal("MsgType rendering")
 	}
 	if MsgType(200).String() == "" {
 		t.Fatal("unknown type should render")
+	}
+}
+
+// TestMsgTypeNumbers pins the on-wire number of every live message type.
+// Retired numbers (2, 3, 4 and 18) stay reserved, so peers built before
+// their retirement and after it agree on every type they share.
+func TestMsgTypeNumbers(t *testing.T) {
+	cases := []struct {
+		mt   MsgType
+		want uint8
+	}{
+		{MsgError, 1},
+		{MsgSnapshotResp, 5},
+		{MsgListTablesReq, 6},
+		{MsgListTablesResp, 7},
+		{MsgPubKeyReq, 8},
+		{MsgPubKeyResp, 9},
+		{MsgSchemaReq, 10},
+		{MsgSchemaResp, 11},
+		{MsgInsertReq, 12},
+		{MsgInsertResp, 13},
+		{MsgDeleteReq, 14},
+		{MsgDeleteResp, 15},
+		{MsgVersionReq, 16},
+		{MsgVersionResp, 17},
+		{MsgDeltaResp, 19},
+		{MsgHello, 20},
+		{MsgHelloResp, 21},
+		{MsgBatchReq, 22},
+		{MsgBatchResp, 23},
+		{MsgShardMapReq, 24},
+		{MsgShardMapResp, 25},
+		{MsgShardSnapshotReq, 26},
+		{MsgShardDeltaReq, 27},
+		{MsgShardQueryReq, 28},
+		{MsgShardQueryResp, 29},
+		{MsgReshardReq, 30},
+		{MsgReshardResp, 31},
+	}
+	for _, c := range cases {
+		if uint8(c.mt) != c.want {
+			t.Errorf("%v = %d, want %d", c.mt, uint8(c.mt), c.want)
+		}
+	}
+	for _, retired := range []MsgType{2, 3, 4, 18} {
+		if got, want := retired.String(), fmt.Sprintf("MsgType(%d)", uint8(retired)); got != want {
+			t.Errorf("retired type %d renders as %q, want %q", uint8(retired), got, want)
+		}
 	}
 }
 
